@@ -11,6 +11,7 @@
 
 #include "common/macros.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "sim/population.h"
 #include "stats/running_stats.h"
 #include "stats/table_printer.h"
@@ -96,7 +97,7 @@ int main() {
     auto widened_report = widened.Analyze();
     PPDB_CHECK_OK(widened_report.status());
     std::vector<std::string> row = {
-        "+" + std::to_string(widen),
+        StrCat({"+", std::to_string(widen)}),
         stats::TablePrinter::FormatDouble(
             widened_report->ProbabilityOfViolation(), 4)};
     for (double alpha : {0.10, 0.25, 0.50, 0.75}) {

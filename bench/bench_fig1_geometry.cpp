@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "common/macros.h"
+#include "common/string_util.h"
 #include "privacy/config.h"
 #include "stats/table_printer.h"
 #include "violation/detector.h"
@@ -37,7 +38,7 @@ int main() {
   privacy::PrivacyConfig config;
   std::vector<std::string> levels;
   for (int i = 0; i < kGridSize; ++i) {
-    levels.push_back("l" + std::to_string(i));
+    levels.push_back(StrCat({"l", std::to_string(i)}));
   }
   for (privacy::Dimension dim : privacy::kOrderedDimensions) {
     *config.scales.MutableForDimension(dim).value() =

@@ -6,6 +6,7 @@
 #include <iostream>
 
 #include "common/macros.h"
+#include "common/string_util.h"
 #include "privacy/config.h"
 #include "stats/table_printer.h"
 #include "violation/default_model.h"
@@ -31,7 +32,9 @@ void Check(const char* what, double expected, double actual) {
 privacy::PrivacyConfig BuildSection8Config() {
   privacy::PrivacyConfig config;
   std::vector<std::string> levels;
-  for (int i = 0; i < 8; ++i) levels.push_back("l" + std::to_string(i));
+  for (int i = 0; i < 8; ++i) {
+    levels.push_back(StrCat({"l", std::to_string(i)}));
+  }
   for (privacy::Dimension dim : privacy::kOrderedDimensions) {
     *config.scales.MutableForDimension(dim).value() =
         privacy::OrderedScale::Create(dim, levels).value();

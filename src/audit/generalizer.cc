@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/macros.h"
+#include "common/string_util.h"
 
 namespace ppdb::audit {
 
@@ -47,8 +48,8 @@ Result<rel::Value> NumericRangeGeneralizer::Generalize(
   double width = level_widths_[static_cast<size_t>(level)];
   if (width <= 0.0) return rel::Value::String("*");
   double lo = std::floor(v / width) * width;
-  return rel::Value::String("[" + FormatBound(lo) + ", " +
-                            FormatBound(lo + width) + ")");
+  return rel::Value::String(
+      StrCat({"[", FormatBound(lo), ", ", FormatBound(lo + width), ")"}));
 }
 
 CategoryGeneralizer::CategoryGeneralizer(std::vector<LevelMap> level_maps,

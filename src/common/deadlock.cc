@@ -8,6 +8,8 @@
 #include <set>
 #include <vector>
 
+#include "common/string_util.h"
+
 namespace ppdb::deadlock {
 namespace {
 
@@ -155,15 +157,16 @@ void OnAcquire(const void* mu, const char* name, bool blocking) {
         held_node.out.insert(mu);
         continue;
       }
-      report = "ppdb deadlock detector: lock-order inversion — acquiring " +
-               DescribeMutex(mu, name) + " while holding " +
-               DescribeMutex(h.mu, h.name) +
-               ", but the opposite order was already observed.\n  cycle:";
+      report = StrCat(
+          {"ppdb deadlock detector: lock-order inversion — acquiring ",
+           DescribeMutex(mu, name), " while holding ",
+           DescribeMutex(h.mu, h.name),
+           ", but the opposite order was already observed.\n  cycle:"});
       for (const void* at : path) {
-        report += "\n    " + DescribeMutex(at, NameOf(at)) + " ->";
+        report += StrCat({"\n    ", DescribeMutex(at, NameOf(at)), " ->"});
       }
-      report += " " + DescribeMutex(mu, name) +
-                "  (the edge this acquisition would add)";
+      report += StrCat({" ", DescribeMutex(mu, name),
+                        "  (the edge this acquisition would add)"});
       break;
     }
   }

@@ -2,6 +2,7 @@
 #define PPDB_COMMON_STRING_UTIL_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,6 +20,12 @@ std::vector<std::string_view> Split(std::string_view s, char delim);
 
 /// Splits `s` on `delim` and trims whitespace from every field.
 std::vector<std::string_view> SplitAndTrim(std::string_view s, char delim);
+
+/// Concatenates `parts` into one string, allocated once. Prefer it to an
+/// operator+ chain that starts with a literal (`"x" + s + ...`): at -O3,
+/// GCC 12 reports a false -Werror=restrict inside libstdc++'s
+/// operator+(const char*, std::string&&) (GCC bug 105329).
+std::string StrCat(std::initializer_list<std::string_view> parts);
 
 /// Joins `parts` with `sep` between consecutive elements.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);

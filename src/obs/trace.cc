@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <utility>
 
+#include "common/string_util.h"
+
 namespace ppdb::obs {
 
 namespace {
@@ -63,16 +65,16 @@ std::string TraceRecord::ToJson() const {
   for (size_t i = 0; i < spans.size(); ++i) {
     const SpanRecord& span = spans[i];
     if (i > 0) out += ',';
-    out += "{\"name\":\"" + EscapeJson(span.name) +
-           "\",\"parent\":" + std::to_string(span.parent_index) +
-           ",\"start_us\":" + std::to_string(span.start_us) +
-           ",\"duration_us\":" + std::to_string(span.duration_us);
+    out += StrCat({"{\"name\":\"", EscapeJson(span.name), "\",\"parent\":",
+                   std::to_string(span.parent_index), ",\"start_us\":",
+                   std::to_string(span.start_us), ",\"duration_us\":",
+                   std::to_string(span.duration_us)});
     if (!span.notes.empty()) {
       out += ",\"notes\":{";
       for (size_t n = 0; n < span.notes.size(); ++n) {
         if (n > 0) out += ',';
-        out += "\"" + EscapeJson(span.notes[n].first) + "\":\"" +
-               EscapeJson(span.notes[n].second) + "\"";
+        out += StrCat({"\"", EscapeJson(span.notes[n].first), "\":\"",
+                       EscapeJson(span.notes[n].second), "\""});
       }
       out += '}';
     }

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/macros.h"
+#include "common/string_util.h"
 
 namespace ppdb::rel {
 
@@ -102,9 +103,9 @@ class UnaryExpr final : public Expression {
   std::string ToString() const override {
     switch (op_) {
       case UnaryOp::kNot:
-        return "NOT " + operand_->ToString();
+        return StrCat({"NOT ", operand_->ToString()});
       case UnaryOp::kNegate:
-        return "-" + operand_->ToString();
+        return StrCat({"-", operand_->ToString()});
       case UnaryOp::kIsNull:
         return operand_->ToString() + " IS NULL";
     }
@@ -163,8 +164,8 @@ class BinaryExpr final : public Expression {
   }
 
   std::string ToString() const override {
-    return "(" + lhs_->ToString() + " " + BinaryOpSymbol(op_) + " " +
-           rhs_->ToString() + ")";
+    return StrCat({"(", lhs_->ToString(), " ", BinaryOpSymbol(op_), " ",
+                   rhs_->ToString(), ")"});
   }
 
  private:

@@ -23,8 +23,8 @@ std::vector<std::string_view> Tokenize(std::string_view line) {
 }
 
 Status WrongArity(std::string_view command, std::string_view expected) {
-  return Status::InvalidArgument("'" + std::string(command) + "' expects " +
-                                 std::string(expected));
+  return Status::InvalidArgument(
+      StrCat({"'", command, "' expects ", expected}));
 }
 
 Result<int> ParseLevel(std::string_view token) {

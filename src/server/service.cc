@@ -13,7 +13,6 @@
 #include "obs/trace.h"
 #include "privacy/dimension.h"
 #include "storage/database_io.h"
-#include "violation/default_model.h"
 #include "violation/detector.h"
 #include "violation/incremental.h"
 #include "violation/policy_search.h"
@@ -361,18 +360,18 @@ Response DatabaseService::ExecuteLocked(const Request& request,
   return Err(Status::Internal("unhandled request kind"));
 }
 
+// The census answers below read the maintained view under the reader lock:
+// its counters and Eq. 16 total are bitwise what a full scan reports (the
+// drift-oracle contract), so none of them builds a ViolationDetector.
+
 Response DatabaseService::Analyze(const Deadline& deadline) {
-  violation::ViolationDetector::Options options;
-  options.num_threads = options_.num_threads;
-  options.deadline = deadline;
-  violation::ViolationDetector detector(&monitor_.config(), options);
-  Result<violation::ViolationReport> report = detector.Analyze();
-  if (!report.ok()) return Err(report.status());
-  const violation::ViolationReport& r = report.value();
-  return Ok("providers=" + std::to_string(r.num_providers()) +
-            " violated=" + std::to_string(r.num_violated) +
-            " pw=" + Num(r.ProbabilityOfViolation()) +
-            " total_severity=" + Num(r.total_severity));
+  if (Status due = deadline.Check("analyze"); !due.ok()) {
+    return Err(std::move(due));
+  }
+  return Ok("providers=" + std::to_string(monitor_.num_providers()) +
+            " violated=" + std::to_string(monitor_.num_violated()) +
+            " pw=" + Num(monitor_.ProbabilityOfViolation()) +
+            " total_severity=" + Num(monitor_.TotalViolations()));
 }
 
 Response DatabaseService::Certify(const Request& request,
@@ -380,9 +379,8 @@ Response DatabaseService::Certify(const Request& request,
   if (Status due = deadline.Check("certify"); !due.ok()) {
     return Err(std::move(due));
   }
-  violation::ViolationReport report = monitor_.Snapshot();
-  Result<violation::AlphaCertification> cert =
-      violation::CertifyAlphaPpdb(report, request.alpha);
+  Result<violation::AlphaCertification> cert = violation::CertifyAlphaPpdb(
+      monitor_.num_violated(), monitor_.num_providers(), request.alpha);
   if (!cert.ok()) return Err(cert.status());
   const violation::AlphaCertification& c = cert.value();
   return Ok("alpha=" + Num(c.alpha) + " pw=" + Num(c.p_violation) +
@@ -397,19 +395,13 @@ Response DatabaseService::Estimate(const Request& request,
   if (Status due = deadline.Check("estimate"); !due.ok()) {
     return Err(std::move(due));
   }
-  violation::ViolationReport report = monitor_.Snapshot();
+  const violation::ViolationView& view = std::as_const(monitor_).view();
+  const bool pw = request.target == "pw";
   Rng rng(request.seed);
-  Result<violation::TrialEstimate> estimate =
-      Status::Internal("unreachable");
-  if (request.target == "pw") {
-    estimate = violation::EstimateViolationProbability(
-        report, request.trials, rng, options_.num_threads);
-  } else {
-    violation::DefaultReport defaults =
-        violation::ComputeDefaults(report, monitor_.config());
-    estimate = violation::EstimateDefaultProbability(
-        defaults, request.trials, rng, options_.num_threads);
-  }
+  Result<violation::TrialEstimate> estimate = violation::EstimateFromFlags(
+      pw ? view.ViolatedFlags() : view.DefaultedFlags(),
+      pw ? view.ProbabilityOfViolation() : view.ProbabilityOfDefault(),
+      request.trials, rng, options_.num_threads);
   if (!estimate.ok()) return Err(estimate.status());
   const violation::TrialEstimate& e = estimate.value();
   return Ok("estimate=" + Num(e.estimate) + " census=" + Num(e.census) +
@@ -429,12 +421,16 @@ Response DatabaseService::WhatIf(const Request& request,
   }
   violation::WhatIfAnalyzer::Options options;
   options.extra_utility_per_step = request.extra_utility_per_step;
-  options.detector_options.num_threads = options_.num_threads;
   options.detector_options.deadline = deadline;
   violation::WhatIfAnalyzer analyzer(&monitor_.config(), options);
+  // Serial on this broker worker: each point is one O(N·Δ) pass over the
+  // view, and fanning points out would hold pool threads the open-loop
+  // readers need.
   Result<std::vector<violation::ExpansionPoint>> points =
-      analyzer.RunSchedule(violation::WhatIfAnalyzer::UniformSchedule(
-          dimension.value(), request.steps));
+      analyzer.RunScheduleFromView(
+          std::as_const(monitor_).view(),
+          violation::WhatIfAnalyzer::UniformSchedule(dimension.value(),
+                                                     request.steps));
   if (!points.ok()) return Err(points.status());
   const violation::ExpansionPoint& last = points.value().back();
   int justified = 0;
@@ -586,17 +582,17 @@ Response DatabaseService::Query(const Request& request) {
               std::string(StatusCodeToString(last.code())));
   }
   if (request.target == "provider") {
-    Result<violation::ProviderViolation> violation =
-        monitor_.ForProvider(request.provider);
-    if (!violation.ok()) return Err(violation.status());
-    Result<bool> defaulted = monitor_.IsDefaulted(request.provider);
-    if (!defaulted.ok()) return Err(defaulted.status());
-    const violation::ProviderViolation& v = violation.value();
+    // One lookup of maintained state; the incidents themselves are never
+    // materialized, only counted.
+    Result<violation::ViolationView::ProviderSummary> summary =
+        std::as_const(monitor_).view().Summarize(request.provider);
+    if (!summary.ok()) return Err(summary.status());
+    const violation::ViolationView::ProviderSummary& v = summary.value();
     return Ok("provider=" + std::to_string(v.provider) +
               " violated=" + (v.violated ? std::string("1") : "0") +
-              " severity=" + Num(v.total_severity) +
-              " incidents=" + std::to_string(v.incidents.size()) +
-              " defaulted=" + (defaulted.value() ? std::string("1") : "0"));
+              " severity=" + Num(v.severity) +
+              " incidents=" + std::to_string(v.incidents) +
+              " defaulted=" + (v.defaulted ? std::string("1") : "0"));
   }
   return Err(Status::InvalidArgument("unknown query target"));
 }

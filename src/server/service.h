@@ -35,11 +35,14 @@ namespace ppdb::server {
 /// checkpoint on the next event and keeps events failing `kUnavailable`
 /// until one succeeds.
 ///
-/// Concurrency: analytics (`analyze`, `certify`, `estimate`, `whatif`,
-/// `search`, queries) take a shared lock and run concurrently with each
-/// other; events and saves take an exclusive lock. The heavy analytics
-/// parallelize internally through the engine's own `ThreadPool` use, so
-/// shared-locking them does not serialize the actual compute.
+/// Concurrency: reads take a shared lock and run concurrently with each
+/// other; events and saves take an exclusive lock. The census reads are
+/// answered from the monitor's maintained view, bitwise what a full scan
+/// would report: `analyze`, `certify` and every `query` in O(1) (O(log N)
+/// for one provider), `estimate` in O(N) flag reads plus its trials, and
+/// each `whatif` point in one serial O(N·Δ) pass. Only `search` and
+/// `driftcheck` run full detector scans, which parallelize through the
+/// engine's own `ThreadPool`.
 ///
 /// Degraded mode: every save — the periodic live-monitor checkpoint and the
 /// explicit `save` request — passes through the circuit breaker. After

@@ -38,6 +38,12 @@ namespace ppdb::violation::internal {
 /// exactly the flat sum.
 inline constexpr int64_t kSeverityReduceBlock = 512;
 
+/// Providers analyzed between deadline polls, in the detector's shards and
+/// in the view's population-wide what-if loop. Coarse enough that the
+/// steady_clock read is noise, fine enough that an expired request releases
+/// its worker within a few hundred providers.
+inline constexpr int64_t kDeadlineStride = 128;
+
 /// Σ severity_of(i) for i in [0, n), in the canonical blocked association
 /// shape described above. Both the detector's reduce and the view's
 /// aggregation tree produce sums with exactly this shape.
@@ -172,6 +178,31 @@ inline FlatPreferenceIndex BuildIndex(const std::vector<ProviderId>& providers,
     index.offsets.push_back(index.entries.size());
   }
   return index;
+}
+
+/// The `find_pref` of the one-provider-at-a-time paths (the view, and
+/// `ViolationDetector::AnalyzeProvider`), read straight from the preference
+/// store: the first stated tuple for (attribute, purpose) in the provider's
+/// tuple order — the one `ProviderPreferences::Find` selects — without the
+/// copy and the NotFound status that `Find` builds on every miss. The batch
+/// scan uses `FlatPreferenceIndex` instead. An absent provider states
+/// nothing.
+inline auto StoreLookup(const privacy::PrivacyConfig& config,
+                        ProviderId provider) {
+  Result<const privacy::ProviderPreferences*> found =
+      config.preferences.Find(provider);
+  const privacy::ProviderPreferences* prefs =
+      found.ok() ? found.value() : nullptr;
+  return [prefs](int32_t /*attr_id*/, std::string_view attribute,
+                 privacy::PurposeId purpose) -> const privacy::PrivacyTuple* {
+    if (prefs == nullptr) return nullptr;
+    for (const privacy::PreferenceTuple& pt : prefs->tuples()) {
+      if (pt.tuple.purpose == purpose && pt.attribute == attribute) {
+        return &pt.tuple;
+      }
+    }
+    return nullptr;
+  };
 }
 
 /// Per-thread buffers for the kernel-backed provider analysis, reused

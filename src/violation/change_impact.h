@@ -1,6 +1,7 @@
 #ifndef PPDB_VIOLATION_CHANGE_IMPACT_H_
 #define PPDB_VIOLATION_CHANGE_IMPACT_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,10 @@ struct ChangeImpact {
   double p_default_after = 0.0;
   double total_violations_before = 0.0;
   double total_violations_after = 0.0;
+  /// Exact after-side counts behind the two ratios above (the before side
+  /// is the current population's).
+  int64_t num_violated_after = 0;
+  int64_t num_defaulted_after = 0;
 
   /// Providers violated after but not before.
   std::vector<ProviderId> newly_violated;

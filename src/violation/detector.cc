@@ -18,9 +18,6 @@
 
 namespace ppdb::violation {
 
-using privacy::PrivacyTuple;
-using privacy::ProviderPreferences;
-
 namespace {
 
 /// Providers per shard of the parallel Analyze loop: one canonical
@@ -29,11 +26,6 @@ namespace {
 /// and the association shape of the Eq. 16 sum are deterministic at any
 /// parallelism and identical to the incremental view's aggregation tree.
 constexpr int64_t kProviderGrain = internal::kSeverityReduceBlock;
-
-/// Providers analyzed between deadline polls inside a shard. Coarse enough
-/// that the steady_clock read is noise, fine enough that an expired
-/// request releases its worker within a few hundred providers.
-constexpr int64_t kDeadlineStride = 128;
 
 }  // namespace
 
@@ -105,7 +97,7 @@ Result<ViolationReport> ViolationDetector::AnalyzeProviders(
           out.reserve(static_cast<size_t>(end - begin));
           internal::AnalysisScratch scratch;
           for (int64_t i = begin; i < end; ++i) {
-            if ((i - begin) % kDeadlineStride == 0 &&
+            if ((i - begin) % internal::kDeadlineStride == 0 &&
                 options_.deadline.Expired()) {
               expired.store(true, std::memory_order_relaxed);
               return;
@@ -191,26 +183,9 @@ Result<ProviderViolation> ViolationDetector::AnalyzeProvider(
   unit_sens.FillOnes(prepared.tuples.size());
 
   // An absent provider entry behaves as an empty preference set: every
-  // policy purpose is unstated and (under Def. 1) implicitly zero. The
-  // object is a function-local static: initialization is thread-safe
-  // (C++11 magic statics), it is const and never mutated afterwards, so
-  // sharing it across concurrent detector threads is safe — and unlike the
-  // old `*new ProviderPreferences(0)` it is destroyed at process exit.
-  static const ProviderPreferences kEmpty{0};
-  const ProviderPreferences* prefs = &kEmpty;
-  Result<const ProviderPreferences*> found =
-      config_->preferences.Find(provider);
-  if (found.ok()) prefs = found.value();
-
+  // policy purpose is unstated and (under Def. 1) implicitly zero.
   internal::AnalysisScratch scratch;
-  PrivacyTuple stated_storage;
-  auto find_pref = [&](int32_t /*attr_id*/, std::string_view attribute,
-                       privacy::PurposeId purpose) -> const PrivacyTuple* {
-    Result<PrivacyTuple> stated = prefs->Find(attribute, purpose);
-    if (!stated.ok()) return nullptr;
-    stated_storage = std::move(stated).value();
-    return &stated_storage;
-  };
+  auto find_pref = internal::StoreLookup(*config_, provider);
   return internal::AnalyzeOne(*config_, options_, prepared, columns, unit_sens,
                               provider, find_pref, scratch);
 }

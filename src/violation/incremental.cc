@@ -16,10 +16,19 @@
 namespace ppdb::violation {
 
 using privacy::PolicyTuple;
-using privacy::PrivacyTuple;
-using privacy::ProviderPreferences;
 
 namespace {
+
+/// Count ladder for `ppdb_view_delta_cells`: 0 (threshold moves), then
+/// powers of two up to 2^20, so a 16-cell join and an N·Δ policy move each
+/// land in a finite bucket.
+std::vector<double> CellCountBuckets() {
+  std::vector<double> bounds{0.0};
+  for (int e = 0; e <= 20; ++e) {
+    bounds.push_back(static_cast<double>(int64_t{1} << e));
+  }
+  return bounds;
+}
 
 /// The delta path's registry instruments, registered as one batch when the
 /// first view is created. The batch detector's families (metrics.cc) stay
@@ -45,7 +54,8 @@ struct ViewMetrics {
       m.delta_cells = r.GetHistogram(
           "ppdb_view_delta_cells",
           "Kernel cells recomputed by one event applied to the violation "
-          "view (the Δ of the O(Δ) path).");
+          "view (the Δ of the O(Δ) path).",
+          CellCountBuckets());
       m.delta_seconds = r.GetHistogram(
           "ppdb_view_delta_seconds",
           "Wall time applying one event to the violation view, delta or "
@@ -104,6 +114,12 @@ std::vector<int32_t> ChangedLevelCells(const std::vector<PolicyTuple>& a,
   return cells;
 }
 
+/// Dimensions on which one cell's diff (Eq. 12, never negative) is positive:
+/// the incidents `FinishProvider` reconstructs for the cell.
+uint8_t ExceedingDimensions(int32_t diff_v, int32_t diff_g, int32_t diff_r) {
+  return static_cast<uint8_t>((diff_v > 0) + (diff_g > 0) + (diff_r > 0));
+}
+
 /// The drift oracle compares representations, not values: -0.0 vs +0.0 or
 /// differently-rounded sums are drift even where == would pass.
 bool BitwiseEqual(double a, double b) {
@@ -142,6 +158,16 @@ int64_t ViolationView::PositionOf(ProviderId provider) const {
   auto it = std::lower_bound(providers_.begin(), providers_.end(), provider);
   if (it == providers_.end() || *it != provider) return -1;
   return it - providers_.begin();
+}
+
+Result<int64_t> ViolationView::Locate(ProviderId provider) const {
+  const int64_t pos = PositionOf(provider);
+  if (pos < 0) {
+    return Status::NotFound("ViolationView: provider " +
+                            std::to_string(provider) +
+                            " is not in the monitored population");
+  }
+  return pos;
 }
 
 bool ViolationView::Contains(ProviderId provider) const {
@@ -193,20 +219,7 @@ void ViolationView::ComputeCells(ProviderId provider,
   if (k == 0) return;
   kernel::RowScratch& row = scratch.row;
   row.Resize(k);
-
-  const ProviderPreferences* prefs = nullptr;
-  Result<const ProviderPreferences*> found =
-      config_->preferences.Find(provider);
-  if (found.ok()) prefs = found.value();
-  PrivacyTuple stated_storage;
-  auto find_pref = [&](int32_t /*attr_id*/, std::string_view attribute,
-                       privacy::PurposeId purpose) -> const PrivacyTuple* {
-    if (prefs == nullptr) return nullptr;
-    Result<PrivacyTuple> stated = prefs->Find(attribute, purpose);
-    if (!stated.ok()) return nullptr;
-    stated_storage = std::move(stated).value();
-    return &stated_storage;
-  };
+  auto find_pref = internal::StoreLookup(*config_, provider);
 
   // Pass 1, gathered: the same per-cell selection a full row build runs,
   // for the affected lanes only.
@@ -268,7 +281,7 @@ void ViolationView::ComputeCells(ProviderId provider,
   for (size_t i = 0; i < k; ++i) {
     conf_out[i] = row.conf[i];
     exceed_out[i] =
-        ((row.diff_v[i] | row.diff_g[i] | row.diff_r[i]) != 0) ? 1 : 0;
+        ExceedingDimensions(row.diff_v[i], row.diff_g[i], row.diff_r[i]);
   }
 }
 
@@ -277,20 +290,7 @@ void ViolationView::ComputeFullRow(int64_t pos) {
   const size_t n = prepared_.tuples.size();
   kernel::RowScratch& row = scratch_.row;
   row.Resize(n);
-
-  const ProviderPreferences* prefs = nullptr;
-  Result<const ProviderPreferences*> found =
-      config_->preferences.Find(provider);
-  if (found.ok()) prefs = found.value();
-  PrivacyTuple stated_storage;
-  auto find_pref = [&](int32_t /*attr_id*/, std::string_view attribute,
-                       privacy::PurposeId purpose) -> const PrivacyTuple* {
-    if (prefs == nullptr) return nullptr;
-    Result<PrivacyTuple> stated = prefs->Find(attribute, purpose);
-    if (!stated.ok()) return nullptr;
-    stated_storage = std::move(stated).value();
-    return &stated_storage;
-  };
+  auto find_pref = internal::StoreLookup(*config_, provider);
 
   for (size_t j = 0; j < n; ++j) {
     const internal::CellInputs cell =
@@ -311,7 +311,7 @@ void ViolationView::ComputeFullRow(int64_t pos) {
   stored.exceed.resize(n);
   for (size_t j = 0; j < n; ++j) {
     stored.exceed[j] =
-        ((row.diff_v[j] | row.diff_g[j] | row.diff_r[j]) != 0) ? 1 : 0;
+        ExceedingDimensions(row.diff_v[j], row.diff_g[j], row.diff_r[j]);
   }
   RefreshRowSummaries(pos);
 }
@@ -340,17 +340,17 @@ void ViolationView::RefreshRowSummaries(int64_t pos) {
   // ppdb-lint: allow(fp-accumulate) --
   // tuple-order flat sum IS the canonical Eq. 15 association shape.
   for (double c : row.conf) severity += c;
-  int32_t exceed = 0;
-  for (uint8_t e : row.exceed) exceed += e;
+  int32_t incidents = 0;
+  for (uint8_t e : row.exceed) incidents += e;
 
-  const bool was_violated = exceed_count_[pos] > 0;
+  const bool was_violated = incidents_[pos] > 0;
   const bool was_defaulted = defaulted_[pos] != 0;
-  const bool now_violated = exceed > 0;
+  const bool now_violated = incidents > 0;
   const bool now_defaulted =
       severity > config_->ThresholdFor(providers_[pos]);
 
   severity_[pos] = severity;
-  exceed_count_[pos] = exceed;
+  incidents_[pos] = incidents;
   defaulted_[pos] = now_defaulted ? 1 : 0;
   num_violated_ +=
       (now_violated ? 1 : 0) - (was_violated ? 1 : 0);
@@ -443,7 +443,7 @@ int64_t ViolationView::ResyncProvider(ProviderId provider) {
                  Row{std::vector<double>(static_cast<size_t>(hp), 0.0),
                      std::vector<uint8_t>(static_cast<size_t>(hp), 0)});
     severity_.insert(severity_.begin() + idx, 0.0);
-    exceed_count_.insert(exceed_count_.begin() + idx, 0);
+    incidents_.insert(incidents_.begin() + idx, 0);
     defaulted_.insert(defaulted_.begin() + idx, 0);
     ComputeFullRow(idx);
     // Positions after idx shifted: block membership changed for every
@@ -452,12 +452,12 @@ int64_t ViolationView::ResyncProvider(ProviderId provider) {
     return hp;
   }
   if (pos >= 0) {
-    num_violated_ -= exceed_count_[pos] > 0 ? 1 : 0;
+    num_violated_ -= incidents_[pos] > 0 ? 1 : 0;
     num_defaulted_ -= defaulted_[pos] != 0 ? 1 : 0;
     providers_.erase(providers_.begin() + pos);
     rows_.erase(rows_.begin() + pos);
     severity_.erase(severity_.begin() + pos);
-    exceed_count_.erase(exceed_count_.begin() + pos);
+    incidents_.erase(incidents_.begin() + pos);
     defaulted_.erase(defaulted_.begin() + pos);
     RebuildTree();
   }
@@ -607,7 +607,7 @@ Status ViolationView::RebuildAll() {
   rows_.assign(n, Row{std::vector<double>(hp, 0.0),
                       std::vector<uint8_t>(hp, 0)});
   severity_.assign(n, 0.0);
-  exceed_count_.assign(n, 0);
+  incidents_.assign(n, 0);
   defaulted_.assign(n, 0);
   num_violated_ = 0;
   num_defaulted_ = 0;
@@ -619,34 +619,32 @@ Status ViolationView::RebuildAll() {
   return Status::OK();
 }
 
-Result<double> ViolationView::SeverityFor(ProviderId provider) const {
-  const int64_t pos = PositionOf(provider);
-  if (pos < 0) {
-    return Status::NotFound("ViolationView: provider " +
-                            std::to_string(provider) +
-                            " is not in the monitored population");
-  }
-  return severity_[pos];
+Result<ViolationView::ProviderSummary> ViolationView::Summarize(
+    ProviderId provider) const {
+  PPDB_ASSIGN_OR_RETURN(const int64_t pos, Locate(provider));
+  ProviderSummary out;
+  out.provider = provider;
+  out.severity = severity_[pos];
+  out.violated = incidents_[pos] > 0;
+  out.incidents = incidents_[pos];
+  out.defaulted = defaulted_[pos] != 0;
+  return out;
 }
 
-Result<bool> ViolationView::IsViolated(ProviderId provider) const {
-  const int64_t pos = PositionOf(provider);
-  if (pos < 0) {
-    return Status::NotFound("ViolationView: provider " +
-                            std::to_string(provider) +
-                            " is not in the monitored population");
+std::vector<bool> ViolationView::ViolatedFlags() const {
+  std::vector<bool> flags(providers_.size());
+  for (size_t pos = 0; pos < flags.size(); ++pos) {
+    flags[pos] = incidents_[pos] > 0;
   }
-  return exceed_count_[pos] > 0;
+  return flags;
 }
 
-Result<bool> ViolationView::IsDefaulted(ProviderId provider) const {
-  const int64_t pos = PositionOf(provider);
-  if (pos < 0) {
-    return Status::NotFound("ViolationView: provider " +
-                            std::to_string(provider) +
-                            " is not in the monitored population");
+std::vector<bool> ViolationView::DefaultedFlags() const {
+  std::vector<bool> flags(providers_.size());
+  for (size_t pos = 0; pos < flags.size(); ++pos) {
+    flags[pos] = defaulted_[pos] != 0;
   }
-  return defaulted_[pos] != 0;
+  return flags;
 }
 
 Result<ViolationView::ExpansionCheck> ViolationView::CheckExpansion(
@@ -674,30 +672,14 @@ Result<ViolationView::ExpansionCheck> ViolationView::CheckExpansion(
 
 Result<ProviderViolation> ViolationView::MaterializeProvider(
     ProviderId provider) const {
-  const int64_t pos = PositionOf(provider);
-  if (pos < 0) {
-    return Status::NotFound("ViolationView: provider " +
-                            std::to_string(provider) +
-                            " is not in the monitored population");
-  }
+  PPDB_RETURN_NOT_OK(Locate(provider).status());
   // Local scratch: materialization runs under reader locks and must not
   // share buffers with concurrent callers.
   internal::AnalysisScratch scratch;
-  const ProviderPreferences* prefs = nullptr;
-  Result<const ProviderPreferences*> found =
-      config_->preferences.Find(provider);
-  if (found.ok()) prefs = found.value();
-  PrivacyTuple stated_storage;
-  auto find_pref = [&](int32_t /*attr_id*/, std::string_view attribute,
-                       privacy::PurposeId purpose) -> const PrivacyTuple* {
-    if (prefs == nullptr) return nullptr;
-    Result<PrivacyTuple> stated = prefs->Find(attribute, purpose);
-    if (!stated.ok()) return nullptr;
-    stated_storage = std::move(stated).value();
-    return &stated_storage;
-  };
   return internal::AnalyzeOne(*config_, options_, prepared_, columns_,
-                              unit_sens_, provider, find_pref, scratch);
+                              unit_sens_, provider,
+                              internal::StoreLookup(*config_, provider),
+                              scratch);
 }
 
 ViolationReport ViolationView::Snapshot() const {
@@ -705,26 +687,13 @@ ViolationReport ViolationView::Snapshot() const {
   report.providers.reserve(providers_.size());
   internal::AnalysisScratch scratch;
   for (size_t pos = 0; pos < providers_.size(); ++pos) {
-    if (exceed_count_[pos] > 0) {
+    if (incidents_[pos] > 0) {
       // Incidents are not materialized; one row recompute reconstructs
       // them (and, by the bitwise contract, the same severity).
       const ProviderId provider = providers_[pos];
-      const ProviderPreferences* prefs = nullptr;
-      Result<const ProviderPreferences*> found =
-          config_->preferences.Find(provider);
-      if (found.ok()) prefs = found.value();
-      PrivacyTuple stated_storage;
-      auto find_pref = [&](int32_t /*attr_id*/, std::string_view attribute,
-                           privacy::PurposeId purpose) -> const PrivacyTuple* {
-        if (prefs == nullptr) return nullptr;
-        Result<PrivacyTuple> stated = prefs->Find(attribute, purpose);
-        if (!stated.ok()) return nullptr;
-        stated_storage = std::move(stated).value();
-        return &stated_storage;
-      };
       report.providers.push_back(internal::AnalyzeOne(
           *config_, options_, prepared_, columns_, unit_sens_, provider,
-          find_pref, scratch));
+          internal::StoreLookup(*config_, provider), scratch));
     } else {
       ProviderViolation pv;
       pv.provider = providers_[pos];
@@ -738,7 +707,7 @@ ViolationReport ViolationView::Snapshot() const {
 }
 
 Result<ChangeImpact> ViolationView::AssessPolicyChange(
-    const privacy::HousePolicy& new_policy) const {
+    const privacy::HousePolicy& new_policy, const Deadline& deadline) const {
   ChangeImpact impact;
   impact.diff = privacy::DiffPolicies(config_->policy, new_policy);
 
@@ -756,7 +725,7 @@ Result<ChangeImpact> ViolationView::AssessPolicyChange(
     if (changed.empty()) {
       for (int64_t pos = 0; pos < n; ++pos) {
         severity_after[pos] = severity_[pos];
-        violated_after[pos] = exceed_count_[pos] > 0 ? 1 : 0;
+        violated_after[pos] = incidents_[pos] > 0 ? 1 : 0;
       }
     } else {
       const internal::PreparedPolicy prepared =
@@ -768,6 +737,12 @@ Result<ChangeImpact> ViolationView::AssessPolicyChange(
       std::vector<double> conf(changed.size());
       std::vector<uint8_t> exceed(changed.size());
       for (int64_t pos = 0; pos < n; ++pos) {
+        if (pos % internal::kDeadlineStride == 0 && deadline.Expired()) {
+          return Status::DeadlineExceeded(
+              "AssessPolicyChange: assessed " + std::to_string(pos) +
+              " of " + std::to_string(n) +
+              " providers before the deadline expired");
+        }
         ComputeCells(providers_[pos], prepared, columns, changed, scratch,
                      gather, conf.data(), exceed.data());
         bool violated = false;
@@ -779,6 +754,7 @@ Result<ChangeImpact> ViolationView::AssessPolicyChange(
   } else {
     ViolationDetector::Options after_options = options_;
     after_options.policy_override = &new_policy;
+    after_options.deadline = deadline;
     ViolationDetector after_detector(config_, after_options);
     PPDB_ASSIGN_OR_RETURN(ViolationReport after, after_detector.Analyze());
     PPDB_CHECK(static_cast<int64_t>(after.providers.size()) == n);
@@ -790,16 +766,14 @@ Result<ChangeImpact> ViolationView::AssessPolicyChange(
     }
   }
 
-  int64_t num_violated_after = 0;
-  int64_t num_defaulted_after = 0;
   for (int64_t pos = 0; pos < n; ++pos) {
-    const bool violated_b = exceed_count_[pos] > 0;
+    const bool violated_b = incidents_[pos] > 0;
     const bool violated_a = violated_after[pos] != 0;
     const bool defaulted_b = defaulted_[pos] != 0;
     const bool defaulted_a =
         severity_after[pos] > config_->ThresholdFor(providers_[pos]);
-    if (violated_a) ++num_violated_after;
-    if (defaulted_a) ++num_defaulted_after;
+    if (violated_a) ++impact.num_violated_after;
+    if (defaulted_a) ++impact.num_defaulted_after;
     if (!violated_b && violated_a) {
       impact.newly_violated.push_back(providers_[pos]);
     } else if (violated_b && !violated_a) {
@@ -813,11 +787,11 @@ Result<ChangeImpact> ViolationView::AssessPolicyChange(
   }
   impact.p_violation_after =
       n == 0 ? 0.0
-             : static_cast<double>(num_violated_after) /
+             : static_cast<double>(impact.num_violated_after) /
                    static_cast<double>(n);
   impact.p_default_after =
       n == 0 ? 0.0
-             : static_cast<double>(num_defaulted_after) /
+             : static_cast<double>(impact.num_defaulted_after) /
                    static_cast<double>(n);
   impact.total_violations_after = internal::BlockedSeveritySum(
       n, [&](int64_t i) { return severity_after[static_cast<size_t>(i)]; });
@@ -827,17 +801,12 @@ Result<ChangeImpact> ViolationView::AssessPolicyChange(
 Result<ViolationView::ProviderImpact>
 ViolationView::AssessPolicyChangeForProvider(
     ProviderId provider, const privacy::HousePolicy& new_policy) const {
-  const int64_t pos = PositionOf(provider);
-  if (pos < 0) {
-    return Status::NotFound("ViolationView: provider " +
-                            std::to_string(provider) +
-                            " is not in the monitored population");
-  }
+  PPDB_ASSIGN_OR_RETURN(const int64_t pos, Locate(provider));
   ProviderImpact out;
   out.provider = provider;
   out.diff = privacy::DiffPolicies(config_->policy, new_policy);
   out.severity_before = severity_[pos];
-  out.violated_before = exceed_count_[pos] > 0;
+  out.violated_before = incidents_[pos] > 0;
   out.defaulted_before = defaulted_[pos] != 0;
 
   if (SameShape(config_->policy.tuples(), new_policy.tuples())) {
@@ -906,7 +875,10 @@ Result<ViolationView::DriftReport> ViolationView::CheckDrift() {
         mismatch = true;
       } else {
         if (!BitwiseEqual(pv.total_severity, severity_[i])) mismatch = true;
-        if (pv.violated != (exceed_count_[i] > 0)) mismatch = true;
+        if (pv.violated != (incidents_[i] > 0)) mismatch = true;
+        if (static_cast<int64_t>(pv.incidents.size()) != incidents_[i]) {
+          mismatch = true;
+        }
         if (defaults.providers[i].defaulted != (defaulted_[i] != 0)) {
           mismatch = true;
         }
@@ -915,8 +887,10 @@ Result<ViolationView::DriftReport> ViolationView::CheckDrift() {
         out.clean = false;
         ++out.mismatched_providers;
         note("provider " + std::to_string(pv.provider) + ": full severity " +
-             std::to_string(pv.total_severity) + ", view " +
-             std::to_string(i < severity_.size() ? severity_[i] : 0.0));
+             std::to_string(pv.total_severity) + " with " +
+             std::to_string(pv.incidents.size()) + " incidents, view " +
+             std::to_string(severity_[i]) + " with " +
+             std::to_string(incidents_[i]));
       }
     }
     if (!BitwiseEqual(full.total_severity, total_severity_)) {

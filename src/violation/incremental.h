@@ -90,6 +90,20 @@ class ViolationView {
     int64_t cells_recomputed = 0;
   };
 
+  /// One provider's maintained answers, read in one lookup — what
+  /// `query provider` prints. Nothing is recomputed.
+  struct ProviderSummary {
+    ProviderId provider = 0;
+    /// Violation_i (Eq. 15).
+    double severity = 0.0;
+    /// w_i (Def. 1).
+    bool violated = false;
+    /// Per-dimension exceedances: `ProviderViolation::incidents.size()`.
+    int64_t incidents = 0;
+    /// default_i (Def. 4).
+    bool defaulted = false;
+  };
+
   /// Builds the view over `config`'s current population (preference-store
   /// providers plus, when `options.data_table` is set, every provider in
   /// the table — the same population `Analyze` covers). `options` follows
@@ -168,14 +182,16 @@ class ViolationView {
 
   bool Contains(ProviderId provider) const;
 
-  /// Violation_i (Eq. 15); kNotFound when absent. O(log N).
-  Result<double> SeverityFor(ProviderId provider) const;
+  /// Violation_i, w_i, incident count and default_i of one provider from
+  /// a single O(log N) lookup; kNotFound when absent.
+  Result<ProviderSummary> Summarize(ProviderId provider) const;
 
-  /// w_i (Def. 1); kNotFound when absent.
-  Result<bool> IsViolated(ProviderId provider) const;
-
-  /// default_i (Def. 4); kNotFound when absent.
-  Result<bool> IsDefaulted(ProviderId provider) const;
+  /// w_i and default_i of every provider, in ascending provider order —
+  /// the order `ViolationReport::providers` uses, so trials drawn over
+  /// these flags pick the same providers a report-driven estimate picks.
+  /// O(N).
+  std::vector<bool> ViolatedFlags() const;
+  std::vector<bool> DefaultedFlags() const;
 
   /// §9 expansion inequality from maintained counters; O(1). Errors when
   /// `utility_per_provider` is not positive (the Eq. 31 algebra divides by
@@ -199,9 +215,14 @@ class ViolationView {
   /// Before/after assessment of replacing the config's policy with
   /// `new_policy`, with the before side read from maintained state (no
   /// first full scan) and the after side recomputed only for the cells the
-  /// change touches when the policy shape is preserved.
+  /// change touches when the policy shape is preserved — O(N·Δ), serial,
+  /// no detector. Every after-side quantity is bitwise what a full
+  /// `Analyze` of `new_policy` reports. `deadline` is polled every
+  /// `internal::kDeadlineStride` providers, as the detector's shards poll
+  /// it; expiry returns `kDeadlineExceeded`.
   Result<ChangeImpact> AssessPolicyChange(
-      const privacy::HousePolicy& new_policy) const;
+      const privacy::HousePolicy& new_policy,
+      const Deadline& deadline = Deadline()) const;
 
   /// Same question for one provider; O(Δ), never scales with N.
   Result<ProviderImpact> AssessPolicyChangeForProvider(
@@ -217,6 +238,9 @@ class ViolationView {
   Result<DriftReport> CheckDrift();
 
   // --- introspection (stats posture, tests) -----------------------------
+
+  /// The config the view materializes.
+  const privacy::PrivacyConfig& config() const { return *config_; }
 
   /// Policy tuples per provider row (|HP| as materialized).
   int64_t policy_tuples() const {
@@ -240,8 +264,9 @@ class ViolationView {
     /// conf(pref, Pol) per cell (Eq. 14), exactly as the kernel computed
     /// it.
     std::vector<double> conf;
-    /// 1 iff the cell has a positive diff on some dimension (the Def. 1
-    /// existence condition at cell granularity).
+    /// Dimensions (0-3) on which the cell's diff is positive: the incidents
+    /// the cell contributes. Nonzero is the Def. 1 existence condition at
+    /// cell granularity, and the row sum is the provider's incident count.
     std::vector<uint8_t> exceed;
   };
 
@@ -250,6 +275,8 @@ class ViolationView {
 
   /// Position of `provider` in the ascending provider order, or -1.
   int64_t PositionOf(ProviderId provider) const;
+  /// Same, or kNotFound for a provider outside the population.
+  Result<int64_t> Locate(ProviderId provider) const;
 
   /// Cells whose Def. 1 preference selection can observe a stated
   /// preference for (attribute, purpose).
@@ -275,9 +302,9 @@ class ViolationView {
   /// Recomputes exactly `cells` of `provider`'s row against (`policy`,
   /// `columns`) — gathered lanes through the shared kernel, bitwise what a
   /// full row build computes for those cells (the kernel is lane-pure).
-  /// Writes conf/exceed per lane; mutates only the caller's scratch, so
-  /// const what-if queries can run it with local buffers under a reader
-  /// lock.
+  /// Writes conf and the exceeding-dimension count per lane; mutates only
+  /// the caller's scratch, so const what-if queries can run it with local
+  /// buffers under a reader lock.
   void ComputeCells(ProviderId provider, const internal::PreparedPolicy& policy,
                     const privacy::PolicyColumns& columns,
                     const std::vector<int32_t>& cells,
@@ -301,7 +328,7 @@ class ViolationView {
                          const double* conf, const uint8_t* exceed,
                          double* severity_out, bool* violated_out) const;
 
-  /// Re-derives severity (flat, tuple order), the exceed count and the
+  /// Re-derives severity (flat, tuple order), the incident count and the
   /// default bit of row `pos` from its cells; patches the integer
   /// counters.
   void RefreshRowSummaries(int64_t pos);
@@ -335,7 +362,8 @@ class ViolationView {
   std::vector<ProviderId> providers_;
   std::vector<Row> rows_;
   std::vector<double> severity_;
-  std::vector<int32_t> exceed_count_;
+  /// Σ Row::exceed: the provider's incident count; w_i = (incidents > 0).
+  std::vector<int32_t> incidents_;
   std::vector<uint8_t> defaulted_;
 
   // Aggregation tree: per-block severity partials + maintained counters.

@@ -150,7 +150,9 @@ Result<ProviderViolation> LivePopulationMonitor::ForProvider(
 }
 
 Result<bool> LivePopulationMonitor::IsDefaulted(ProviderId provider) const {
-  return view_->IsDefaulted(provider);
+  PPDB_ASSIGN_OR_RETURN(const ViolationView::ProviderSummary summary,
+                        view_->Summarize(provider));
+  return summary.defaulted;
 }
 
 }  // namespace ppdb::violation

@@ -14,10 +14,11 @@ namespace {
 /// count — is reproducible at any parallelism.
 constexpr int64_t kTrialGrain = 8192;
 
-/// Runs τ trials of "draw index uniformly, test event[index]", sharded over
-/// the pool with one serially-drawn sub-seed per shard.
-Result<TrialEstimate> RunTrials(const std::vector<bool>& event, double census,
-                                int64_t trials, Rng& rng, int num_threads) {
+}  // namespace
+
+Result<TrialEstimate> EstimateFromFlags(const std::vector<bool>& event,
+                                        double census, int64_t trials,
+                                        Rng& rng, int num_threads) {
   if (trials <= 0) {
     return Status::InvalidArgument("trial count must be positive");
   }
@@ -54,8 +55,6 @@ Result<TrialEstimate> RunTrials(const std::vector<bool>& event, double census,
   return out;
 }
 
-}  // namespace
-
 Result<TrialEstimate> EstimateViolationProbability(
     const ViolationReport& report, int64_t trials, Rng& rng,
     int num_threads) {
@@ -64,8 +63,8 @@ Result<TrialEstimate> EstimateViolationProbability(
   for (const ProviderViolation& pv : report.providers) {
     event.push_back(pv.violated);
   }
-  return RunTrials(event, report.ProbabilityOfViolation(), trials, rng,
-                   num_threads);
+  return EstimateFromFlags(event, report.ProbabilityOfViolation(), trials,
+                           rng, num_threads);
 }
 
 Result<TrialEstimate> EstimateDefaultProbability(const DefaultReport& report,
@@ -76,31 +75,40 @@ Result<TrialEstimate> EstimateDefaultProbability(const DefaultReport& report,
   for (const ProviderDefault& pd : report.providers) {
     event.push_back(pd.defaulted);
   }
-  return RunTrials(event, report.ProbabilityOfDefault(), trials, rng,
-                   num_threads);
+  return EstimateFromFlags(event, report.ProbabilityOfDefault(), trials, rng,
+                           num_threads);
 }
 
-Result<AlphaCertification> CertifyAlphaPpdb(const ViolationReport& report,
+Result<AlphaCertification> CertifyAlphaPpdb(int64_t num_violated,
+                                            int64_t num_providers,
                                             double alpha, double confidence) {
   if (alpha < 0.0 || alpha > 1.0) {
     return Status::InvalidArgument("alpha must be in [0, 1]");
   }
-  if (report.providers.empty()) {
+  if (num_providers <= 0) {
     return Status::FailedPrecondition(
         "cannot certify an empty population");
   }
   AlphaCertification out;
   out.alpha = alpha;
-  out.num_providers = report.num_providers();
-  out.num_violated = report.num_violated;
-  out.p_violation = report.ProbabilityOfViolation();
+  out.num_providers = num_providers;
+  out.num_violated = num_violated;
+  // Def. 2's census ratio, with the operation order of
+  // ViolationReport::ProbabilityOfViolation.
+  out.p_violation =
+      static_cast<double>(num_violated) / static_cast<double>(num_providers);
   out.certified = out.p_violation <= alpha;
   PPDB_ASSIGN_OR_RETURN(
       out.interval,
-      stats::WilsonInterval(report.num_violated, report.num_providers(),
-                            confidence));
+      stats::WilsonInterval(num_violated, num_providers, confidence));
   out.certified_with_margin = out.interval.hi <= alpha;
   return out;
+}
+
+Result<AlphaCertification> CertifyAlphaPpdb(const ViolationReport& report,
+                                            double alpha, double confidence) {
+  return CertifyAlphaPpdb(report.num_violated, report.num_providers(), alpha,
+                          confidence);
 }
 
 }  // namespace ppdb::violation

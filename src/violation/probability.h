@@ -2,6 +2,7 @@
 #define PPDB_VIOLATION_PROBABILITY_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "common/result.h"
 #include "common/rng.h"
@@ -32,20 +33,30 @@ struct TrialEstimate {
   }
 };
 
-/// Estimates P(W) (Def. 2) by τ random trials over the report's providers.
-/// Errors when `trials` <= 0 or the report is empty.
+/// The trial core of both estimators: τ trials of "pick a provider
+/// uniformly at random (with replacement) and test `event[pick]`" over
+/// per-provider flags in ascending provider order; `census` is Σ event / N,
+/// reported beside the estimate. Errors when `trials` <= 0 or `event` is
+/// empty.
 ///
 /// Trials are split into fixed-size shards, each driven by a sub-RNG whose
 /// seed is drawn from `rng` up front in shard order. The estimate is
-/// therefore a pure function of (seed, τ): `num_threads` (0 = hardware
-/// concurrency, 1 = serial) only changes how the shards are scheduled,
-/// never the result.
+/// therefore a pure function of (seed, τ, event): `num_threads` (0 =
+/// hardware concurrency, 1 = serial) only changes how the shards are
+/// scheduled, never the result. The served `estimate` runs this over
+/// `ViolationView::ViolatedFlags` / `DefaultedFlags`.
+Result<TrialEstimate> EstimateFromFlags(const std::vector<bool>& event,
+                                        double census, int64_t trials,
+                                        Rng& rng, int num_threads = 1);
+
+/// Estimates P(W) (Def. 2) by τ random trials over the report's providers:
+/// `EstimateFromFlags` over their w_i.
 Result<TrialEstimate> EstimateViolationProbability(
     const ViolationReport& report, int64_t trials, Rng& rng,
     int num_threads = 1);
 
-/// Estimates P(Default) (Def. 5) by τ random trials. Sharded and seeded
-/// exactly like `EstimateViolationProbability`.
+/// Estimates P(Default) (Def. 5) by τ random trials:
+/// `EstimateFromFlags` over the report's default_i.
 Result<TrialEstimate> EstimateDefaultProbability(const DefaultReport& report,
                                                  int64_t trials, Rng& rng,
                                                  int num_threads = 1);
@@ -68,8 +79,16 @@ struct AlphaCertification {
   bool certified_with_margin = false;
 };
 
-/// Certifies `report` against threshold `alpha` (Def. 3). Errors when alpha
-/// is outside [0, 1] or the report is empty.
+/// Certifies a population of `num_providers` with `num_violated` violated
+/// against threshold `alpha` (Def. 3) — from a report's counts or the
+/// view's. Errors when alpha is outside [0, 1] or the population is empty.
+Result<AlphaCertification> CertifyAlphaPpdb(int64_t num_violated,
+                                            int64_t num_providers,
+                                            double alpha,
+                                            double confidence = 0.95);
+
+/// Certifies `report` against threshold `alpha`: the counts overload over
+/// its N and Σ w_i.
 Result<AlphaCertification> CertifyAlphaPpdb(const ViolationReport& report,
                                             double alpha,
                                             double confidence = 0.95);

@@ -8,6 +8,7 @@
 #include "common/macros.h"
 #include "common/thread_pool.h"
 #include "violation/default_model.h"
+#include "violation/incremental.h"
 
 namespace ppdb::violation {
 
@@ -25,11 +26,8 @@ std::vector<ExpansionStep> WhatIfAnalyzer::UniformSchedule(
   return steps;
 }
 
-Result<std::vector<ExpansionPoint>> WhatIfAnalyzer::RunSchedule(
+Result<std::vector<privacy::HousePolicy>> WhatIfAnalyzer::CumulativePolicies(
     const std::vector<ExpansionStep>& steps) const {
-  // The cumulative policies are built serially (each widening is cheap and
-  // depends on the previous one); the expensive per-point population
-  // evaluation then fans out over the pool.
   std::vector<privacy::HousePolicy> policies;
   policies.reserve(steps.size() + 1);
   policies.push_back(config_->policy);
@@ -47,6 +45,22 @@ Result<std::vector<ExpansionPoint>> WhatIfAnalyzer::RunSchedule(
     }
     policies.push_back(std::move(next));
   }
+  return policies;
+}
+
+Status WhatIfAnalyzer::SweepExpired(int64_t evaluated, int64_t total) {
+  return Status::DeadlineExceeded(
+      "what-if: evaluated " + std::to_string(evaluated) + " of " +
+      std::to_string(total) + " schedule points before the deadline expired");
+}
+
+Result<std::vector<ExpansionPoint>> WhatIfAnalyzer::RunSchedule(
+    const std::vector<ExpansionStep>& steps) const {
+  // The cumulative policies are built serially (each widening is cheap and
+  // depends on the previous one); the expensive per-point population
+  // evaluation then fans out over the pool.
+  PPDB_ASSIGN_OR_RETURN(std::vector<privacy::HousePolicy> policies,
+                        CumulativePolicies(steps));
 
   const int64_t n = static_cast<int64_t>(policies.size());
   const Deadline& deadline = options_.detector_options.deadline;
@@ -77,12 +91,46 @@ Result<std::vector<ExpansionPoint>> WhatIfAnalyzer::RunSchedule(
     if (status.ok()) ++evaluated;
   }
   for (const Status& status : statuses) {
-    if (status.IsDeadlineExceeded()) {
-      return Status::DeadlineExceeded(
-          "what-if: evaluated " + std::to_string(evaluated) + " of " +
-          std::to_string(n) + " schedule points before the deadline expired");
-    }
+    if (status.IsDeadlineExceeded()) return SweepExpired(evaluated, n);
     PPDB_RETURN_NOT_OK(status);
+  }
+  return points;
+}
+
+Result<std::vector<ExpansionPoint>> WhatIfAnalyzer::RunScheduleFromView(
+    const ViolationView& view, const std::vector<ExpansionStep>& steps) const {
+  if (&view.config() != config_) {
+    return Status::InvalidArgument(
+        "what-if: the view must materialize the analyzer's config");
+  }
+  PPDB_ASSIGN_OR_RETURN(std::vector<privacy::HousePolicy> policies,
+                        CumulativePolicies(steps));
+  const int64_t n = static_cast<int64_t>(policies.size());
+  const Deadline& deadline = options_.detector_options.deadline;
+  std::vector<ExpansionPoint> points;
+  points.reserve(policies.size());
+  for (int64_t k = 0; k < n; ++k) {
+    if (deadline.Expired()) return SweepExpired(k, n);
+    privacy::HousePolicy& policy = policies[static_cast<size_t>(k)];
+    // The baseline is the maintained state itself.
+    int64_t violated = view.num_violated();
+    int64_t defaulted = view.num_defaulted();
+    double total = view.TotalViolations();
+    if (k > 0) {
+      Result<ChangeImpact> impact = view.AssessPolicyChange(policy, deadline);
+      if (!impact.ok()) {
+        if (impact.status().IsDeadlineExceeded()) return SweepExpired(k, n);
+        return impact.status();
+      }
+      violated = impact->num_violated_after;
+      defaulted = impact->num_defaulted_after;
+      total = impact->total_violations_after;
+    }
+    PPDB_ASSIGN_OR_RETURN(
+        ExpansionPoint point,
+        MakePoint(static_cast<int>(k), std::move(policy),
+                  view.num_providers(), violated, defaulted, total));
+    points.push_back(std::move(point));
   }
   return points;
 }
@@ -96,8 +144,16 @@ Result<ExpansionPoint> WhatIfAnalyzer::Evaluate(
   detector_options.policy_override = &policy;
   ViolationDetector detector(config_, detector_options);
   PPDB_ASSIGN_OR_RETURN(ViolationReport report, detector.Analyze());
-  DefaultReport defaults = ComputeDefaults(report, *config_);
+  const DefaultReport defaults = ComputeDefaults(report, *config_);
+  return MakePoint(step_index, std::move(policy), report.num_providers(),
+                   report.num_violated, defaults.num_defaulted,
+                   report.total_severity);
+}
 
+Result<ExpansionPoint> WhatIfAnalyzer::MakePoint(
+    int step_index, privacy::HousePolicy policy, int64_t n_current,
+    int64_t num_violated, int64_t num_defaulted,
+    double total_violations) const {
   PPDB_ASSIGN_OR_RETURN(
       UtilityModel utility,
       UtilityModel::Create(options_.utility_per_provider));
@@ -105,12 +161,17 @@ Result<ExpansionPoint> WhatIfAnalyzer::Evaluate(
   ExpansionPoint point;
   point.step_index = step_index;
   point.policy = std::move(policy);
-  point.p_violation = report.ProbabilityOfViolation();
-  point.p_default = defaults.ProbabilityOfDefault();
-  point.total_violations = report.total_severity;
-  int64_t n_current = report.num_providers();
-  point.num_defaulted = defaults.num_defaulted;
-  point.n_remaining = UtilityModel::FutureProviders(n_current, defaults);
+  // Defs. 2 and 5 as census ratios, with the operation order of
+  // ViolationReport / DefaultReport.
+  point.p_violation = n_current == 0 ? 0.0
+                                     : static_cast<double>(num_violated) /
+                                           static_cast<double>(n_current);
+  point.p_default = n_current == 0 ? 0.0
+                                   : static_cast<double>(num_defaulted) /
+                                         static_cast<double>(n_current);
+  point.total_violations = total_violations;
+  point.num_defaulted = num_defaulted;
+  point.n_remaining = n_current - num_defaulted;  // Eq. 26
   point.utility_current = utility.CurrentUtility(n_current);
   point.extra_utility =
       options_.extra_utility_per_step * static_cast<double>(step_index);

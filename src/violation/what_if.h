@@ -1,6 +1,7 @@
 #ifndef PPDB_VIOLATION_WHAT_IF_H_
 #define PPDB_VIOLATION_WHAT_IF_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -11,6 +12,8 @@
 #include "violation/utility.h"
 
 namespace ppdb::violation {
+
+class ViolationView;
 
 /// One widening move in a policy-expansion schedule (§9): increase
 /// `dimension` by `delta` levels (clamped to the scale) on every policy
@@ -58,7 +61,8 @@ struct ExpansionPoint {
 ///
 /// The initial population (the config's providers) is held fixed; each
 /// schedule point re-runs the violation detector and default model against
-/// the cumulatively widened policy. Extra utility is modelled as
+/// the cumulatively widened policy (`RunSchedule`), or asks a maintained
+/// view for the delta (`RunScheduleFromView`). Extra utility is modelled as
 /// `extra_utility_per_step × k` at point k — each widening step unlocks the
 /// same additional per-provider value, the simplest model consistent with
 /// §9's "additional utility above U per data provider available to the
@@ -93,13 +97,40 @@ class WhatIfAnalyzer {
   Result<std::vector<ExpansionPoint>> RunSchedule(
       const std::vector<ExpansionStep>& steps) const;
 
+  /// The same schedule answered from `view`, a maintained view over this
+  /// analyzer's config: point 0 from the view's counters, every later
+  /// point from `ViolationView::AssessPolicyChange`. A widening keeps the
+  /// policy shape, so each point is an O(N·Δ) delta, serial, with no
+  /// detector. The points are bitwise those `RunSchedule` returns when the
+  /// view was built with the analysis settings of `detector_options`
+  /// (hierarchy, data table, implicit zeros).
+  /// `detector_options.deadline` is polled between points and inside each
+  /// assessment; `num_threads` is not used.
+  Result<std::vector<ExpansionPoint>> RunScheduleFromView(
+      const ViolationView& view, const std::vector<ExpansionStep>& steps) const;
+
   /// Convenience: a schedule of `count` unit widenings of `dimension`.
   static std::vector<ExpansionStep> UniformSchedule(
       privacy::Dimension dimension, int count);
 
  private:
+  /// The baseline policy followed by the cumulative widenings of `steps`.
+  Result<std::vector<privacy::HousePolicy>> CumulativePolicies(
+      const std::vector<ExpansionStep>& steps) const;
+
   Result<ExpansionPoint> Evaluate(int step_index,
                                   privacy::HousePolicy policy) const;
+
+  /// Eqs. 25-31 at one point from its population counts: the one place
+  /// the what-if arithmetic lives, shared by both schedule runners.
+  Result<ExpansionPoint> MakePoint(int step_index, privacy::HousePolicy policy,
+                                   int64_t n_current, int64_t num_violated,
+                                   int64_t num_defaulted,
+                                   double total_violations) const;
+
+  /// The deadline error of a sweep stopped after `evaluated` of `total`
+  /// points.
+  static Status SweepExpired(int64_t evaluated, int64_t total);
 
   const privacy::PrivacyConfig* config_;
   Options options_;

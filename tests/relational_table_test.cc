@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "relational/catalog.h"
 #include "relational/schema.h"
 #include "tests/test_util.h"
@@ -212,7 +213,8 @@ TEST(CatalogTest, HandlesStayValidAfterOtherInsertions) {
                        catalog.CreateTable("first", TwoColumnSchema()));
   for (int i = 0; i < 50; ++i) {
     ASSERT_OK(
-        catalog.CreateTable("t" + std::to_string(i), TwoColumnSchema())
+        catalog
+            .CreateTable(StrCat({"t", std::to_string(i)}), TwoColumnSchema())
             .status());
   }
   ASSERT_OK(first->Insert(1, {Value::Int64(1), Value::Double(1.0)}));

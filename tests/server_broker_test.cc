@@ -57,6 +57,18 @@ void OccupyWorkers(RequestBroker& broker, int num_workers, Gate& gate,
   while (running.load() < num_workers) std::this_thread::yield();
 }
 
+/// Stats once no job is left on a worker. A worker moves its job from
+/// in_flight to completed just after the completion callback returns, so a
+/// caller that has seen every callback can still read `completed` short.
+RequestBroker::StatsSnapshot SettledStats(const RequestBroker& broker) {
+  RequestBroker::StatsSnapshot stats = broker.Stats();
+  while (stats.in_flight > 0) {
+    std::this_thread::yield();
+    stats = broker.Stats();
+  }
+  return stats;
+}
+
 TEST(RequestBrokerTest, ExecutesWorkAndReportsStats) {
   RequestBroker::Options options;
   options.num_workers = 2;
@@ -80,7 +92,7 @@ TEST(RequestBrokerTest, ExecutesWorkAndReportsStats) {
   std::unique_lock<std::mutex> lock(mu);
   cv.wait(lock, [&] { return done == 10; });
 
-  RequestBroker::StatsSnapshot stats = broker.Stats();
+  RequestBroker::StatsSnapshot stats = SettledStats(broker);
   EXPECT_EQ(stats.submitted, 10);
   EXPECT_EQ(stats.admitted, 10);
   EXPECT_EQ(stats.shed, 0);
@@ -345,7 +357,7 @@ TEST(RequestBrokerTest, StatsSnapshotIsInternallyConsistent) {
   while (completions.load() < kWorkers + 4) std::this_thread::yield();
   check();
 
-  RequestBroker::StatsSnapshot final_stats = broker.Stats();
+  RequestBroker::StatsSnapshot final_stats = SettledStats(broker);
   EXPECT_EQ(final_stats.shed, 4);
   EXPECT_EQ(final_stats.completed, kWorkers + 4);
 }
@@ -401,7 +413,7 @@ TEST(RequestBrokerTest, ConstructorGaugeMirrorWritesAreSynchronized) {
   churn.join();
   while (completions.load() < 50) std::this_thread::yield();
 
-  RequestBroker::StatsSnapshot stats = broker.Stats();
+  RequestBroker::StatsSnapshot stats = SettledStats(broker);
   EXPECT_EQ(stats.num_workers, 2);
   EXPECT_EQ(stats.completed, 50);
 

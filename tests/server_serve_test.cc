@@ -236,11 +236,13 @@ TEST_F(ServeTest, PrometheusScrapeIsWellFormedAndMonotonic) {
 
   // Three sessions so ordering is deterministic: each Serve drains its
   // broker before returning, and the registry is process-global, so the
-  // second scrape must observe the analyze of the session before it.
+  // second scrape must observe the scan of the session before it.
   std::vector<std::string> first =
       BlockBody(ServeRaw("ping\nstats prometheus\n", *service, broker), 2);
-  RequestBroker analyze_broker{RequestBroker::Options{}};
-  ServeRaw("analyze\n", *service, analyze_broker);
+  // driftcheck runs a full detector scan (a served analyze reads the view
+  // and scans nothing).
+  RequestBroker scan_broker{RequestBroker::Options{}};
+  ServeRaw("driftcheck\n", *service, scan_broker);
   RequestBroker scrape_broker{RequestBroker::Options{}};
   std::vector<std::string> second =
       BlockBody(ServeRaw("metrics\n", *service, scrape_broker), 1);
@@ -276,7 +278,7 @@ TEST_F(ServeTest, PrometheusScrapeIsWellFormedAndMonotonic) {
     EXPECT_TRUE(found) << name;
   }
 
-  // Counters are monotonic: the analyze between the scrapes must show up.
+  // Counters are monotonic: the scan between the scrapes must show up.
   // (The registry is process-global, so assert deltas, not absolutes.)
   const std::string analyze_ok =
       "ppdb_violation_analyze_total{result=\"ok\"}";
@@ -288,15 +290,16 @@ TEST_F(ServeTest, PrometheusScrapeIsWellFormedAndMonotonic) {
 }
 
 // The serve-mode `trace` command dumps the span ring as JSON; a served
-// analyze leaves a trace whose id is derived from its broker request id.
+// driftcheck leaves a trace, with the detector's scan spans, whose id is
+// derived from its broker request id.
 TEST_F(ServeTest, TraceCommandDumpsSpanRingAsJson) {
   std::unique_ptr<DatabaseService> service = MakeService();
   RequestBroker broker(RequestBroker::Options{});
 
-  // Two sessions: the first drains, so its analyze trace is committed to
-  // the (process-global) ring before the second session dumps it. The dump
-  // is one JSON line, so it arrives as a plain (non-block) response.
-  ServeRaw("analyze\n", *service, broker);
+  // Two sessions: the first drains, so its driftcheck trace is committed
+  // to the (process-global) ring before the second session dumps it. The
+  // dump is one JSON line, so it arrives as a plain (non-block) response.
+  ServeRaw("driftcheck\n", *service, broker);
   RequestBroker trace_broker{RequestBroker::Options{}};
   std::string output = ServeRaw("trace\n", *service, trace_broker);
   ASSERT_NE(output.find("1 ok ["), std::string::npos) << output;

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "tests/test_util.h"
 
 namespace ppdb::storage {
@@ -161,7 +162,7 @@ TEST_F(FsTest, RenameFaultLeavesDestinationUntouched) {
 TEST_F(FsTest, NoPlanNeverFaults) {
   FaultInjectingFileSystem faulty(&real_, Rng(1));
   for (int i = 0; i < 10; ++i) {
-    ASSERT_OK(faulty.WriteFile(Path("f" + std::to_string(i)), "x"));
+    ASSERT_OK(faulty.WriteFile(Path(StrCat({"f", std::to_string(i)})), "x"));
   }
   EXPECT_EQ(faulty.ops_seen(), 10);
   EXPECT_EQ(faulty.faults_injected(), 0);

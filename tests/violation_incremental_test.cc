@@ -3,17 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/macros.h"
+#include "common/deadline.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "relational/table.h"
 #include "tests/test_util.h"
 #include "violation/default_model.h"
 #include "violation/detector.h"
 #include "violation/kernel/severity_kernel.h"
+#include "violation/metrics.h"
 #include "violation/utility.h"
 
 namespace ppdb::violation {
@@ -43,16 +47,16 @@ void ExpectBitwiseEqualToFull(const ViolationView& view,
       << report.total_severity;
   for (size_t i = 0; i < report.providers.size(); ++i) {
     const ProviderViolation& expected = report.providers[i];
-    ASSERT_OK_AND_ASSIGN(double severity,
-                         view.SeverityFor(expected.provider));
-    ASSERT_OK_AND_ASSIGN(bool violated, view.IsViolated(expected.provider));
-    ASSERT_OK_AND_ASSIGN(bool defaulted,
-                         view.IsDefaulted(expected.provider));
-    EXPECT_EQ(Bits(severity), Bits(expected.total_severity))
+    ASSERT_OK_AND_ASSIGN(ViolationView::ProviderSummary summary,
+                         view.Summarize(expected.provider));
+    EXPECT_EQ(Bits(summary.severity), Bits(expected.total_severity))
         << context << ": provider " << expected.provider;
-    EXPECT_EQ(violated, expected.violated)
+    EXPECT_EQ(summary.violated, expected.violated)
         << context << ": provider " << expected.provider;
-    EXPECT_EQ(defaulted, defaults.providers[i].defaulted)
+    EXPECT_EQ(summary.incidents,
+              static_cast<int64_t>(expected.incidents.size()))
+        << context << ": provider " << expected.provider;
+    EXPECT_EQ(summary.defaulted, defaults.providers[i].defaulted)
         << context << ": provider " << expected.provider;
   }
 }
@@ -135,7 +139,7 @@ TEST_F(ViolationViewTest, MembershipEventsInsertAndEraseRows) {
   ASSERT_OK(view.OnProviderRemoved(42));
   EXPECT_FALSE(view.Contains(42));
   ExpectBitwiseEqualToFull(view, config_, {}, "after remove");
-  EXPECT_TRUE(view.SeverityFor(42).status().IsNotFound());
+  EXPECT_TRUE(view.Summarize(42).status().IsNotFound());
 }
 
 TEST_F(ViolationViewTest, SameShapePolicyChangeStaysOnDeltaPath) {
@@ -246,6 +250,81 @@ TEST_F(ViolationViewTest, DriftOracleCatchesOutOfBandMutation) {
                        view.CheckDrift());
   EXPECT_TRUE(recovered.clean) << recovered.detail;
   ExpectBitwiseEqualToFull(view, config_, {}, "after rebuild recovery");
+}
+
+// The population what-if behind the served `whatif`: exact after-side
+// counts, a detector-free delta path, and the request deadline polled
+// inside the provider loop.
+TEST_F(ViolationViewTest, PolicyChangeAssessmentCountsExactlyAndHonoursDeadline) {
+  ASSERT_OK_AND_ASSIGN(ViolationView view, ViolationView::Create(&config_));
+  // Same (attribute, purpose) sequence as the fixture's policy, two
+  // visibility levels raised.
+  privacy::HousePolicy wider;
+  ASSERT_OK(wider.Add("weight", PrivacyTuple{ads_, 3, 2, 2}));
+  ASSERT_OK(wider.Add("weight", PrivacyTuple{research_, 2, 1, 1}));
+  ASSERT_OK(wider.Add("age", PrivacyTuple{ads_, 3, 1, 2}));
+
+  const obs::Counter* scans_ok = ViolationMetrics::Get().analyze_ok;
+  const int64_t scans_before = scans_ok->Value();
+  ASSERT_OK_AND_ASSIGN(ChangeImpact impact, view.AssessPolicyChange(wider));
+  EXPECT_EQ(scans_ok->Value(), scans_before)
+      << "a same-shape assessment must not run the detector";
+
+  ViolationDetector::Options after_options;
+  after_options.policy_override = &wider;
+  ViolationDetector after(&config_, after_options);
+  ASSERT_OK_AND_ASSIGN(ViolationReport report, after.Analyze());
+  const DefaultReport defaults = ComputeDefaults(report, config_);
+  EXPECT_EQ(impact.num_violated_after, report.num_violated);
+  EXPECT_EQ(impact.num_defaulted_after, defaults.num_defaulted);
+  EXPECT_EQ(Bits(impact.p_violation_after),
+            Bits(report.ProbabilityOfViolation()));
+  EXPECT_EQ(Bits(impact.p_default_after),
+            Bits(defaults.ProbabilityOfDefault()));
+  EXPECT_EQ(Bits(impact.total_violations_after), Bits(report.total_severity));
+
+  const Deadline expired = Deadline::After(std::chrono::milliseconds(0));
+  Result<ChangeImpact> late = view.AssessPolicyChange(wider, expired);
+  ASSERT_TRUE(late.status().IsDeadlineExceeded()) << late.status().ToString();
+  EXPECT_NE(late.status().message().find("assessed 0 of 6 providers"),
+            std::string::npos)
+      << late.status().message();
+  // An unchanged policy needs no provider loop, so there is nothing to
+  // poll.
+  EXPECT_OK(view.AssessPolicyChange(config_.policy, expired));
+}
+
+// ppdb_view_delta_cells counts cells, so it carries a count ladder (0, then
+// powers of two to 2^20), not the seconds ladder.
+TEST_F(ViolationViewTest, DeltaCellsHistogramScrapesOnACountLadder) {
+  ASSERT_OK_AND_ASSIGN(ViolationView view, ViolationView::Create(&config_));
+  auto bucket = [](const std::string& scrape, const std::string& le) {
+    const std::string key = "ppdb_view_delta_cells_bucket{le=\"" + le + "\"} ";
+    const size_t at = scrape.find(key);
+    if (at == std::string::npos) return int64_t{-1};
+    return static_cast<int64_t>(
+        std::stoll(scrape.substr(at + key.size())));
+  };
+  const std::string before =
+      obs::MetricsRegistry::Default().RenderPrometheus();
+  for (const char* le : {"0", "1", "2", "4", "16", "1024", "1048576"}) {
+    EXPECT_GE(bucket(before, le), 0) << "missing bucket le=" << le;
+  }
+  EXPECT_EQ(bucket(before, "0.0001"), -1);
+  EXPECT_EQ(bucket(before, "10"), -1);
+
+  // A join recomputes the provider's |HP| = 3 cells: le="4" and above move
+  // by one, le="2" does not.
+  config_.preferences.ForProvider(99);
+  ASSERT_OK(view.OnProviderAdded(99));
+  // A threshold move recomputes none: every bucket moves by one.
+  config_.thresholds[99] = 1.0;
+  ASSERT_OK(view.OnThresholdChanged(99));
+  const std::string after = obs::MetricsRegistry::Default().RenderPrometheus();
+  EXPECT_EQ(bucket(after, "0") - bucket(before, "0"), 1);
+  EXPECT_EQ(bucket(after, "2") - bucket(before, "2"), 1);
+  EXPECT_EQ(bucket(after, "4") - bucket(before, "4"), 2);
+  EXPECT_EQ(bucket(after, "+Inf") - bucket(before, "+Inf"), 2);
 }
 
 TEST_F(ViolationViewTest, MaterializeProviderMatchesBatchIncidents) {

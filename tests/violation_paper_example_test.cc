@@ -2,6 +2,7 @@
 // end to end: Alice, Ted and Bob's conflicts, defaults, and P(Default).
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "privacy/config.h"
 #include "tests/test_util.h"
 #include "violation/default_model.h"
@@ -27,7 +28,9 @@ class PaperExampleTest : public ::testing::Test {
  protected:
   void SetUp() override {
     std::vector<std::string> levels;
-    for (int i = 0; i < 8; ++i) levels.push_back("l" + std::to_string(i));
+    for (int i = 0; i < 8; ++i) {
+      levels.push_back(StrCat({"l", std::to_string(i)}));
+    }
     config_.scales.visibility =
         OrderedScale::Create(privacy::Dimension::kVisibility, levels).value();
     config_.scales.granularity =
