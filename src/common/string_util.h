@@ -1,7 +1,9 @@
 #ifndef PPDB_COMMON_STRING_UTIL_H_
 #define PPDB_COMMON_STRING_UTIL_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <initializer_list>
 #include <string>
 #include <string_view>
@@ -38,6 +40,19 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 
 /// Returns a lower-cased copy of `s` (ASCII only).
 std::string ToLower(std::string_view s);
+
+/// True iff `ToLower(a) == ToLower(b)`, without building either string.
+bool EqualsIgnoreCase(std::string_view a, std::string_view b);
+
+/// Transparent hash for unordered containers keyed by `std::string`: with
+/// `std::equal_to<>` it lets `find(std::string_view)` look a name up
+/// without building a temporary string.
+struct StringHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>{}(s);
+  }
+};
 
 /// Parses a base-10 signed integer. The whole string must be consumed.
 Result<int64_t> ParseInt64(std::string_view s);

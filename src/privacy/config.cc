@@ -8,8 +8,11 @@ Status PrivacyConfig::Validate() const {
   PPDB_RETURN_NOT_OK(policy.ValidateAgainst(scales).WithPrefix("policy"));
   PPDB_RETURN_NOT_OK(
       preferences.ValidateAgainst(scales).WithPrefix("preferences"));
+  auto registered = [this](PurposeId id) {
+    return id >= 0 && id < purposes.num_purposes();
+  };
   for (const PolicyTuple& pt : policy.tuples()) {
-    if (!purposes.NameOf(pt.tuple.purpose).ok()) {
+    if (!registered(pt.tuple.purpose)) {
       return Status::InvalidArgument(
           "policy tuple for attribute '" + pt.attribute +
           "' mentions unregistered purpose id " +
@@ -20,7 +23,7 @@ Status PrivacyConfig::Validate() const {
     PPDB_ASSIGN_OR_RETURN(const ProviderPreferences* prefs,
                           preferences.Find(id));
     for (const PreferenceTuple& pt : prefs->tuples()) {
-      if (!purposes.NameOf(pt.tuple.purpose).ok()) {
+      if (!registered(pt.tuple.purpose)) {
         return Status::InvalidArgument(
             "preference of provider " + std::to_string(id) +
             " mentions unregistered purpose id " +

@@ -19,11 +19,27 @@ std::string_view DimensionName(Dimension dim) {
 }
 
 Result<Dimension> DimensionFromName(std::string_view name) {
-  std::string lower = ToLower(name);
-  if (lower == "purpose" || lower == "pr") return Dimension::kPurpose;
-  if (lower == "visibility" || lower == "v") return Dimension::kVisibility;
-  if (lower == "granularity" || lower == "g") return Dimension::kGranularity;
-  if (lower == "retention" || lower == "r") return Dimension::kRetention;
+  struct Spelling {
+    std::string_view full;
+    std::string_view short_form;
+    Dimension dim;
+  };
+  static constexpr Spelling kSpellings[] = {
+      {"purpose", "pr", Dimension::kPurpose},
+      {"visibility", "v", Dimension::kVisibility},
+      {"granularity", "g", Dimension::kGranularity},
+      {"retention", "r", Dimension::kRetention},
+  };
+  // The canonical spelling (what the DSL serializer writes) first.
+  for (const Spelling& s : kSpellings) {
+    if (name == s.full) return s.dim;
+  }
+  for (const Spelling& s : kSpellings) {
+    if (EqualsIgnoreCase(name, s.full) ||
+        EqualsIgnoreCase(name, s.short_form)) {
+      return s.dim;
+    }
+  }
   return Status::ParseError("unknown privacy dimension: '" +
                             std::string(name) + "'");
 }

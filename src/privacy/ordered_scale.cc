@@ -70,11 +70,17 @@ Result<std::string> OrderedScale::NameOf(int level) const {
 }
 
 Result<int> OrderedScale::LevelOf(std::string_view name) const {
-  auto it = index_.find(std::string(name));
-  if (it == index_.end()) {
+  std::optional<int> level = FindLevel(name);
+  if (!level.has_value()) {
     return Status::NotFound("no level named '" + std::string(name) +
                             "' on scale " + ToString());
   }
+  return *level;
+}
+
+std::optional<int> OrderedScale::FindLevel(std::string_view name) const {
+  auto it = index_.find(name);
+  if (it == index_.end()) return std::nullopt;
   return it->second;
 }
 

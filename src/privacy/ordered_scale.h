@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/string_util.h"
 #include "privacy/dimension.h"
 
 namespace ppdb::privacy {
@@ -55,6 +56,12 @@ class OrderedScale {
   /// Level index of the named level; errors with kNotFound.
   Result<int> LevelOf(std::string_view name) const;
 
+  /// Level index of the named level, or nullopt; builds no error text.
+  std::optional<int> FindLevel(std::string_view name) const;
+
+  /// All level names, least exposure first.
+  const std::vector<std::string>& names() const { return names_; }
+
   /// True iff `level` is a valid index on this scale.
   bool IsValidLevel(int level) const {
     return level >= 0 && level < num_levels();
@@ -75,7 +82,7 @@ class OrderedScale {
   Dimension dimension_;
   std::vector<std::string> names_;
   std::vector<std::optional<double>> magnitudes_;
-  std::unordered_map<std::string, int> index_;
+  std::unordered_map<std::string, int, StringHash, std::equal_to<>> index_;
 };
 
 /// The bundle of scales for the three ordered dimensions; passed around as

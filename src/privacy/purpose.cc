@@ -8,12 +8,13 @@
 namespace ppdb::privacy {
 
 Result<PurposeId> PurposeRegistry::Register(std::string_view name) {
+  // Only valid identifiers are ever registered, so a hit needs no check.
+  auto it = index_.find(name);
+  if (it != index_.end()) return it->second;
   if (!IsValidIdentifier(name)) {
     return Status::InvalidArgument("invalid purpose name: '" +
                                    std::string(name) + "'");
   }
-  auto it = index_.find(std::string(name));
-  if (it != index_.end()) return it->second;
   PurposeId id = static_cast<PurposeId>(names_.size());
   names_.emplace_back(name);
   index_.emplace(std::string(name), id);
@@ -21,7 +22,7 @@ Result<PurposeId> PurposeRegistry::Register(std::string_view name) {
 }
 
 Result<PurposeId> PurposeRegistry::Lookup(std::string_view name) const {
-  auto it = index_.find(std::string(name));
+  auto it = index_.find(name);
   if (it == index_.end()) {
     return Status::NotFound("unregistered purpose: '" + std::string(name) +
                             "'");
@@ -38,7 +39,7 @@ Result<std::string> PurposeRegistry::NameOf(PurposeId id) const {
 }
 
 bool PurposeRegistry::Contains(std::string_view name) const {
-  return index_.contains(std::string(name));
+  return index_.contains(name);
 }
 
 Status PurposeHierarchy::AddEdge(PurposeId child, PurposeId parent,

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/string_util.h"
 
 namespace ppdb::privacy {
 
@@ -42,7 +43,8 @@ class PurposeRegistry {
 
  private:
   std::vector<std::string> names_;
-  std::unordered_map<std::string, PurposeId> index_;
+  std::unordered_map<std::string, PurposeId, StringHash, std::equal_to<>>
+      index_;
 };
 
 /// Optional specialization hierarchy over purposes (the lattice extension

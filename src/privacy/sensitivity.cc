@@ -1,10 +1,27 @@
 #include "privacy/sensitivity.h"
 
 #include <tuple>
+#include <utility>
 
 #include "common/macros.h"
 
 namespace ppdb::privacy {
+
+namespace {
+
+/// `map[key] = value`, appending with an end hint when `key` sorts after
+/// every entry: the DSL serializer writes σ in key order, so a load
+/// inserts each entry in constant time instead of walking the tree.
+template <typename Map, typename Key, typename Value>
+void AssignHintedLast(Map& map, Key&& key, const Value& value) {
+  if (map.empty() || map.key_comp()(map.rbegin()->first, key)) {
+    map.emplace_hint(map.end(), std::forward<Key>(key), value);
+    return;
+  }
+  map.insert_or_assign(std::forward<Key>(key), value);
+}
+
+}  // namespace
 
 Result<double> DimensionSensitivity::ForDimension(Dimension dim) const {
   switch (dim) {
@@ -51,7 +68,9 @@ Status SensitivityModel::SetProviderSensitivity(
     ProviderId provider, std::string_view attribute,
     const DimensionSensitivity& sensitivity) {
   PPDB_RETURN_NOT_OK(sensitivity.Validate());
-  provider_default_[{provider, std::string(attribute)}] = sensitivity;
+  AssignHintedLast(provider_default_,
+                   std::pair<ProviderId, std::string>(provider, attribute),
+                   sensitivity);
   return Status::OK();
 }
 
@@ -59,8 +78,10 @@ Status SensitivityModel::SetProviderSensitivityForPurpose(
     ProviderId provider, std::string_view attribute, PurposeId purpose,
     const DimensionSensitivity& sensitivity) {
   PPDB_RETURN_NOT_OK(sensitivity.Validate());
-  provider_by_purpose_[{provider, std::string(attribute), purpose}] =
-      sensitivity;
+  AssignHintedLast(provider_by_purpose_,
+                   std::tuple<ProviderId, std::string, PurposeId>(
+                       provider, attribute, purpose),
+                   sensitivity);
   return Status::OK();
 }
 

@@ -171,10 +171,9 @@ Result<std::unique_ptr<DatabaseService>> DatabaseService::Create(
                         storage::LoadDatabase(dir, *fs, &recovery));
   violation::ViolationDetector::Options detector_options;
   detector_options.num_threads = options.num_threads;
-  PPDB_ASSIGN_OR_RETURN(
-      LivePopulationMonitor monitor,
-      LivePopulationMonitor::Create(std::move(database.config),
-                                    detector_options));
+  PPDB_ASSIGN_OR_RETURN(LivePopulationMonitor monitor,
+                        LivePopulationMonitor::CreateWithConfigHierarchy(
+                            std::move(database.config), detector_options));
   database.config = privacy::PrivacyConfig();
   std::unique_ptr<storage::Journal> journal;
   if (options.journal_enabled) {
@@ -220,12 +219,14 @@ DatabaseService::DatabaseService(std::string dir, storage::FileSystem* fs,
 }
 
 Status DatabaseService::SaveNow(const privacy::PrivacyConfig& config) {
-  database_.config = config;
   storage::SaveOptions save_options;
   save_options.retry = options_.save_retry;
   std::string committed;
-  PPDB_RETURN_NOT_OK(
-      storage::SaveDatabase(dir_, database_, *fs_, save_options, &committed));
+  PPDB_RETURN_NOT_OK(storage::SaveDatabase(
+      dir_,
+      storage::DatabaseRef{database_.catalog, config, database_.ledger,
+                           database_.log},
+      *fs_, save_options, &committed));
   last_checkpoint_generation_ = committed;
   if (journal_ != nullptr) {
     // The commit pruned every journal segment; start the next one. A
@@ -421,6 +422,7 @@ Response DatabaseService::WhatIf(const Request& request,
   }
   violation::WhatIfAnalyzer::Options options;
   options.extra_utility_per_step = request.extra_utility_per_step;
+  options.detector_options = violation::WithConfigHierarchy(monitor_.config());
   options.detector_options.deadline = deadline;
   violation::WhatIfAnalyzer analyzer(&monitor_.config(), options);
   // Serial on this broker worker: each point is one O(N·Δ) pass over the
@@ -451,6 +453,7 @@ Response DatabaseService::Search(const Request& request,
   violation::SearchOptions options;
   options.value_model = violation::MakeLinearExposureValue(request.value_scale);
   options.max_steps = request.max_steps;
+  options.detector_options = violation::WithConfigHierarchy(monitor_.config());
   options.detector_options.num_threads = options_.num_threads;
   options.detector_options.deadline = deadline;
   Result<violation::SearchResult> result =

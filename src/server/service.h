@@ -167,10 +167,9 @@ class DatabaseService {
       PPDB_ACQUIRED_AFTER(broker)
       PPDB_ACQUIRED_BEFORE(journal, breaker, pool);
   violation::LivePopulationMonitor monitor_ PPDB_GUARDED_BY(mu_);
-  /// The loaded database minus its privacy config, whose authoritative
-  /// copy lives in monitor_; `SaveNow` patches the current config in just
-  /// before each save (under the exclusive lock — Catalog is move-only,
-  /// so the Database cannot be copied into a scratch value).
+  /// The loaded database minus its privacy config, which monitor_ owns;
+  /// `database_.config` stays empty. `SaveNow` writes monitor_'s config
+  /// beside the catalog, ledger and audit log here, all by reference.
   storage::Database database_ PPDB_GUARDED_BY(mu_);
   /// Write-ahead journal (null when Options::journal_enabled is false).
   /// Internally synchronized; the pointer itself is set once at

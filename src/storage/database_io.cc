@@ -46,7 +46,7 @@ std::string OptionalToField(const std::optional<std::string>& value) {
 /// Writes the full file set of `database` into `dir` (which must already
 /// contain a `tables/` subdirectory), retrying transient faults.
 Status WriteDatabaseFiles(FileSystem& fsys, const RetryOptions& retry,
-                          const fs::path& dir, const Database& database) {
+                          const fs::path& dir, const DatabaseRef& database) {
   auto write = [&](const fs::path& path, const std::string& contents) {
     return RetryWithBackoff(retry, "write '" + path.string() + "'", [&] {
       return fsys.WriteFile(path.string(), contents);
@@ -161,9 +161,13 @@ Result<Database> LoadDatabaseFiles(FileSystem& fsys, const fs::path& dir) {
     PPDB_RETURN_NOT_OK(database.catalog.AddTable(std::move(parsed)).status());
   }
 
-  PPDB_ASSIGN_OR_RETURN(std::string dsl,
-                        fsys.ReadFile((dir / "privacy.ppdb").string()));
-  PPDB_ASSIGN_OR_RETURN(database.config, privacy::ParsePrivacyConfig(dsl));
+  {
+    // The DSL text is the largest thing a load holds; free it as soon as
+    // it is parsed.
+    PPDB_ASSIGN_OR_RETURN(std::string dsl,
+                          fsys.ReadFile((dir / "privacy.ppdb").string()));
+    PPDB_ASSIGN_OR_RETURN(database.config, privacy::ParsePrivacyConfig(dsl));
+  }
   PPDB_ASSIGN_OR_RETURN(std::string ledger_csv,
                         fsys.ReadFile((dir / "ledger.csv").string()));
   PPDB_ASSIGN_OR_RETURN(database.ledger, LedgerFromCsv(ledger_csv));
@@ -427,7 +431,8 @@ Status SaveDatabase(std::string_view dir, const Database& database) {
   return SaveDatabase(dir, database, GetRealFileSystem());
 }
 
-static Status SaveDatabaseImpl(std::string_view dir, const Database& database,
+static Status SaveDatabaseImpl(std::string_view dir,
+                               const DatabaseRef& database,
                                FileSystem& fsys, const SaveOptions& options,
                                std::string* committed_generation) {
   const fs::path root{std::string(dir)};
@@ -500,6 +505,15 @@ Status SaveDatabase(std::string_view dir, const Database& database,
 }
 
 Status SaveDatabase(std::string_view dir, const Database& database,
+                    FileSystem& fsys, const SaveOptions& options,
+                    std::string* committed_generation) {
+  return SaveDatabase(dir,
+                      DatabaseRef{database.catalog, database.config,
+                                  database.ledger, database.log},
+                      fsys, options, committed_generation);
+}
+
+Status SaveDatabase(std::string_view dir, const DatabaseRef& database,
                     FileSystem& fsys, const SaveOptions& options,
                     std::string* committed_generation) {
   const StorageMetrics& metrics = StorageMetrics::Get();

@@ -24,6 +24,16 @@ struct Database {
   audit::AuditLog log;
 };
 
+/// The parts of a database a save writes, by reference, so that a caller
+/// whose parts live apart (a server's live monitor owns the config) saves
+/// them without first copying them into a `Database`.
+struct DatabaseRef {
+  const rel::Catalog& catalog;
+  const privacy::PrivacyConfig& config;
+  const audit::IngestLedger& ledger;
+  const audit::AuditLog& log;
+};
+
 /// On-disk layout (all human-readable text, matching the library's
 /// existing formats). A database directory holds numbered, immutable
 /// generations plus a pointer file naming the committed one:
@@ -104,6 +114,11 @@ Status SaveDatabase(std::string_view dir, const Database& database,
 /// service rotates its journal segment to. A successful save prunes all
 /// `journal-*` segments (their events are inside the new generation).
 Status SaveDatabase(std::string_view dir, const Database& database,
+                    FileSystem& fs, const SaveOptions& options,
+                    std::string* committed_generation);
+
+/// As above for parts held apart.
+Status SaveDatabase(std::string_view dir, const DatabaseRef& database,
                     FileSystem& fs, const SaveOptions& options,
                     std::string* committed_generation);
 

@@ -1,6 +1,7 @@
 #include "storage/fs.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -8,7 +9,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "common/macros.h"
 #include "obs/metrics.h"
@@ -73,16 +73,38 @@ Status RealFileSystem::WriteFile(const std::string& path,
 }
 
 Result<std::string> RealFileSystem::ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     return Status::NotFound("cannot open '" + path + "' for reading");
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (!in && !in.eof()) {
-    return Status::Internal("read from '" + path + "' failed");
+  // One string sized from fstat, then read(2) to EOF: a file that shrank
+  // since the fstat ends short, one that grew keeps growing the string.
+  struct stat info {};
+  std::string contents;
+  if (::fstat(fd, &info) == 0 && info.st_size > 0) {
+    contents.resize(static_cast<size_t>(info.st_size));
   }
-  return std::move(buffer).str();
+  size_t filled = 0;
+  char probe[4096];
+  while (true) {
+    // Past the fstat size, read through `probe` so that the usual
+    // exactly-sized file is not grown just to see its EOF.
+    const bool full = filled == contents.size();
+    const ssize_t n =
+        full ? ::read(fd, probe, sizeof(probe))
+             : ::read(fd, contents.data() + filled, contents.size() - filled);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      ::close(fd);
+      return Status::Internal("read from '" + path + "' failed");
+    }
+    if (n == 0) break;
+    if (full) contents.append(probe, static_cast<size_t>(n));
+    filled += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  contents.resize(filled);
+  return contents;
 }
 
 Status RealFileSystem::Rename(const std::string& from, const std::string& to) {

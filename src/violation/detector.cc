@@ -33,6 +33,14 @@ ViolationDetector::ViolationDetector(const privacy::PrivacyConfig* config,
                                      Options options)
     : config_(config), options_(options) {}
 
+ViolationDetector::Options WithConfigHierarchy(
+    const privacy::PrivacyConfig& config, ViolationDetector::Options options) {
+  if (config.purpose_hierarchy.num_edges() > 0) {
+    options.purpose_hierarchy = &config.purpose_hierarchy;
+  }
+  return options;
+}
+
 Result<ViolationReport> ViolationDetector::Analyze() const {
   std::vector<ProviderId> providers = config_->preferences.ProviderIds();
   if (options_.data_table != nullptr) {

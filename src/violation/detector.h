@@ -111,6 +111,16 @@ class ViolationDetector {
   Options options_;
 };
 
+/// `options` with `purpose_hierarchy` pointed at `config`'s own hierarchy
+/// when the config declares implication edges (the DSL's
+/// `purpose X implies Y`); a config without edges gets `options` as they
+/// are. Every analysis of a loaded database in serve mode and in the CLI
+/// is built through this, so the edges a database declares change its
+/// answers. `config` must outlive whatever is built from the result.
+ViolationDetector::Options WithConfigHierarchy(
+    const privacy::PrivacyConfig& config,
+    ViolationDetector::Options options = {});
+
 }  // namespace ppdb::violation
 
 #endif  // PPDB_VIOLATION_DETECTOR_H_

@@ -25,10 +25,25 @@ void PublishGauges(const LivePopulationMonitor& monitor) {
 Result<LivePopulationMonitor> LivePopulationMonitor::Create(
     privacy::PrivacyConfig config,
     ViolationDetector::Options detector_options) {
+  return Materialize(
+      LivePopulationMonitor(std::move(config), detector_options));
+}
+
+Result<LivePopulationMonitor> LivePopulationMonitor::CreateWithConfigHierarchy(
+    privacy::PrivacyConfig config,
+    ViolationDetector::Options detector_options) {
   LivePopulationMonitor monitor(std::move(config), detector_options);
+  // config_ is heap-held, so the hierarchy pointer survives moves.
+  monitor.detector_options_ =
+      WithConfigHierarchy(*monitor.config_, detector_options);
+  return Materialize(std::move(monitor));
+}
+
+Result<LivePopulationMonitor> LivePopulationMonitor::Materialize(
+    LivePopulationMonitor monitor) {
   PPDB_ASSIGN_OR_RETURN(
       ViolationView view,
-      ViolationView::Create(monitor.config_.get(), detector_options));
+      ViolationView::Create(monitor.config_.get(), monitor.detector_options_));
   monitor.view_.emplace(std::move(view));
   // Registers the ppdb_violation_* families at startup and resets the
   // population gauges for this (new) monitored population.

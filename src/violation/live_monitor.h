@@ -47,6 +47,13 @@ class LivePopulationMonitor {
       privacy::PrivacyConfig config,
       ViolationDetector::Options detector_options = {});
 
+  /// As `Create`, with the view analyzing the config as it declares
+  /// itself: `detector_options` go through `WithConfigHierarchy` against
+  /// the config once the monitor owns it.
+  static Result<LivePopulationMonitor> CreateWithConfigHierarchy(
+      privacy::PrivacyConfig config,
+      ViolationDetector::Options detector_options = {});
+
   LivePopulationMonitor(LivePopulationMonitor&&) noexcept = default;
   LivePopulationMonitor& operator=(LivePopulationMonitor&&) noexcept =
       default;
@@ -158,6 +165,10 @@ class LivePopulationMonitor {
  private:
   LivePopulationMonitor(privacy::PrivacyConfig config,
                         ViolationDetector::Options detector_options);
+
+  /// Builds the view over `monitor`'s config with its detector options.
+  static Result<LivePopulationMonitor> Materialize(
+      LivePopulationMonitor monitor);
 
   /// Counts one successful mutating event and fires the checkpoint hook at
   /// the configured cadence. Returns the checkpoint status (OK when no

@@ -10,12 +10,14 @@
 // thread counts {1, 2, hw}:
 //
 //   - the view half calls the same library entry points the service calls
-//     and compares every number bitwise. It covers the analysis options a
-//     served database never sets: the purpose hierarchy on and off, and
+//     and compares every number bitwise. It covers options the service
+//     cannot toggle: the purpose hierarchy on and off over one config, and
 //     data-table scoping;
 //   - the service half runs `DatabaseService` itself and compares payloads
-//     and error statuses byte for byte. It also checks that a census
-//     rotation runs no full scan, and that `whatif` honours its deadline.
+//     and error statuses byte for byte, over configs with and without
+//     purpose implications (the service honours the ones a database
+//     declares). It also checks that a census rotation runs no full scan,
+//     and that `whatif` honours its deadline.
 
 #include <gtest/gtest.h>
 
@@ -110,6 +112,9 @@ struct Shape {
   bool empty = false;
   bool explicit_sensitivities = false;
   bool no_pref_providers = false;
+  /// Declare `p1 implies p0` and `p3 implies p2`; without them the four
+  /// purposes are unrelated.
+  bool hierarchy_edges = true;
 };
 
 Shape ShapeFor(uint64_t seed) {
@@ -129,9 +134,12 @@ std::string RandomDsl(Rng& rng, const Shape& shape) {
       "scale granularity: l0, l1, l2, l3\n"
       "scale retention: l0, l1, l2, l3\n"
       "purpose p0\n"
-      "purpose p1 implies p0\n"
+      "purpose p1\n"
       "purpose p2\n"
-      "purpose p3 implies p2\n";
+      "purpose p3\n";
+  if (shape.hierarchy_edges) {
+    dsl += "purpose p1 implies p0\npurpose p3 implies p2\n";
+  }
   const double reach = 0.05 + 0.35 * rng.NextDouble();
   int tuples = 0;
   for (int a = 0; a < kAttributes - 1; ++a) {
@@ -522,12 +530,15 @@ Response Ok(std::string payload) {
 std::string Flag(bool on) { return on ? "1" : "0"; }
 
 /// The census payloads as the detector path renders them — the protocol
-/// format of each command, computed from a full analysis.
+/// format of each command, computed from a full analysis under
+/// `hierarchy` (null: purposes compare by equality only).
 class DetectorAnswers {
  public:
-  DetectorAnswers(const PrivacyConfig& config, int threads)
-      : config_(config), threads_(threads) {
+  DetectorAnswers(const PrivacyConfig& config,
+                  const privacy::PurposeHierarchy* hierarchy, int threads)
+      : config_(config), hierarchy_(hierarchy), threads_(threads) {
     ViolationDetector::Options options;
+    options.purpose_hierarchy = hierarchy;
     options.num_threads = threads;
     report_ = ViolationDetector(&config, options).Analyze();
     PPDB_CHECK_OK(report_.status());
@@ -571,6 +582,7 @@ class DetectorAnswers {
   Response WhatIf(Dimension dimension, int steps, double extra) const {
     WhatIfAnalyzer::Options options;
     options.extra_utility_per_step = extra;
+    options.detector_options.purpose_hierarchy = hierarchy_;
     options.detector_options.num_threads = threads_;
     options.num_threads = threads_;
     Result<std::vector<ExpansionPoint>> points =
@@ -612,6 +624,7 @@ class DetectorAnswers {
 
  private:
   const PrivacyConfig& config_;
+  const privacy::PurposeHierarchy* const hierarchy_;
   const int threads_;
   Result<ViolationReport> report_ = Status::Internal("not analyzed");
   DefaultReport defaults_;
@@ -723,13 +736,15 @@ Status ApplyToMirror(violation::LivePopulationMonitor& mirror,
 }
 
 /// One census rotation against `service`: every payload and error status
-/// must equal the detector path's over `mirror`'s config, the rotation must
-/// not run a single full scan, and the service's view must be drift-clean.
+/// must equal the detector path's over `mirror`'s config under
+/// `hierarchy`, the rotation must not run a single full scan, and the
+/// service's view must be drift-clean.
 void ExpectServedRotationMatches(DatabaseService& service,
                                  const violation::LivePopulationMonitor& mirror,
+                                 const privacy::PurposeHierarchy* hierarchy,
                                  int threads, Rng& rng,
                                  const std::string& context) {
-  const DetectorAnswers detector(mirror.config(), threads);
+  const DetectorAnswers detector(mirror.config(), hierarchy, threads);
   std::vector<std::pair<std::string, Response>> rotation;
   rotation.emplace_back("analyze", detector.Analyze());
   for (double alpha : {0.0, 0.25, 0.5, 1.0}) {
@@ -773,13 +788,18 @@ void ExpectServedRotationMatches(DatabaseService& service,
 
 // A random config saved as a database, then a census rotation as loaded
 // and again after a random event stream through the served event path.
+// The service honours the purpose implications a database declares, so
+// the detector path runs with the hierarchy exactly when the config has
+// edges, which six seeds of ten do.
 TEST_P(CensusServiceEquivalenceTest, ServedPayloadsMatchTheDetectorPath) {
   const uint64_t seed = GetParam();
   Rng config_rng(seed * 7919 + 1);
+  Shape shape = ShapeFor(seed);
+  shape.hierarchy_edges = seed % 4 < 2;
   storage::Database database;
-  ASSERT_OK_AND_ASSIGN(database.config,
-                       privacy::ParsePrivacyConfig(
-                           RandomDsl(config_rng, ShapeFor(seed))));
+  ASSERT_OK_AND_ASSIGN(
+      database.config,
+      privacy::ParsePrivacyConfig(RandomDsl(config_rng, shape)));
   ASSERT_OK(storage::SaveDatabase(dir_.string(), database));
 
   for (violation::kernel::Target target : SupportedTargets()) {
@@ -792,15 +812,24 @@ TEST_P(CensusServiceEquivalenceTest, ServedPayloadsMatchTheDetectorPath) {
       std::unique_ptr<DatabaseService> service = MakeService(threads);
       ASSERT_OK_AND_ASSIGN(storage::Database loaded,
                            storage::LoadDatabase(dir_.string()));
-      ASSERT_OK_AND_ASSIGN(
-          violation::LivePopulationMonitor mirror,
-          violation::LivePopulationMonitor::Create(std::move(loaded.config)));
+      // No event changes the hierarchy, so the mirror and the detector
+      // path read this copy of it.
+      const privacy::PurposeHierarchy hierarchy =
+          loaded.config.purpose_hierarchy;
+      ASSERT_EQ(hierarchy.num_edges(), shape.hierarchy_edges ? 2 : 0);
+      ViolationDetector::Options mirror_options;
+      mirror_options.purpose_hierarchy =
+          shape.hierarchy_edges ? &hierarchy : nullptr;
+      ASSERT_OK_AND_ASSIGN(violation::LivePopulationMonitor mirror,
+                           violation::LivePopulationMonitor::Create(
+                               std::move(loaded.config), mirror_options));
 
       Rng rng(seed * 104729 + 3);  // the same stream at every target
       // As loaded (the empty shape stays empty only here), then after a
       // random event stream.
-      ExpectServedRotationMatches(*service, mirror, threads, rng,
-                                  context + " as loaded");
+      ExpectServedRotationMatches(*service, mirror,
+                                  mirror_options.purpose_hierarchy, threads,
+                                  rng, context + " as loaded");
       for (int event = 0; event < 30; ++event) {
         const std::string line = RandomEvent(rng, mirror.config());
         ASSERT_OK_AND_ASSIGN(Request request, ParseRequest(line));
@@ -809,8 +838,9 @@ TEST_P(CensusServiceEquivalenceTest, ServedPayloadsMatchTheDetectorPath) {
         ASSERT_EQ(served.status.ToString(), applied.ToString())
             << context << " " << line;
       }
-      ExpectServedRotationMatches(*service, mirror, threads, rng,
-                                  context + " after events");
+      ExpectServedRotationMatches(*service, mirror,
+                                  mirror_options.purpose_hierarchy, threads,
+                                  rng, context + " after events");
       if (::testing::Test::HasFailure()) break;
     }
     violation::kernel::ClearForcedTarget();

@@ -41,6 +41,21 @@ TEST_F(FsTest, RealWriteReadRoundTrip) {
   EXPECT_TRUE(real_.IsDirectory(dir_.string()));
 }
 
+TEST_F(FsTest, RealReadReturnsExactlyTheFile) {
+  ASSERT_OK(real_.WriteFile(Path("empty"), ""));
+  ASSERT_OK_AND_ASSIGN(std::string empty, real_.ReadFile(Path("empty")));
+  EXPECT_EQ(empty, "");
+  // Bigger than the read loop's 4 KiB EOF probe, with every byte value.
+  std::string big;
+  for (int i = 0; i < 100000; ++i) big.push_back(static_cast<char>(i % 251));
+  ASSERT_OK(real_.WriteFile(Path("big"), big));
+  ASSERT_OK_AND_ASSIGN(std::string read_back, real_.ReadFile(Path("big")));
+  EXPECT_TRUE(read_back == big);
+  EXPECT_TRUE(real_.ReadFile(Path("missing")).status().IsNotFound());
+  // A directory opens but cannot be read: an error, not an empty file.
+  EXPECT_FALSE(real_.ReadFile(dir_.string()).ok());
+}
+
 TEST_F(FsTest, RealWriteToUnwritablePathReportsErrno) {
   // Opening a directory path as a file fails at open and carries errno text.
   Status status = real_.WriteFile(dir_.string(), "x");

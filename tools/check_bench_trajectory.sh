@@ -15,6 +15,13 @@
 #     consistent per-row schema (hand-rolled), or a non-empty `benchmarks`
 #     array with name/iterations/real_time/cpu_time (google-benchmark).
 #
+# It also validates BENCHMARK.json, the declaration of the end-to-end
+# benchmark (e2ebench/): the file parses; every workload has a `name` and
+# a `why`; every end-to-end metric has a `name`, a `unit`, `better` of
+# "lower" or "higher" and a `bound` in (0, 1]; every per-layer metric has a
+# `name`, a `unit` and `better`; and workload and metric names are unique.
+# The check only reads the file.
+#
 # Usage: check_bench_trajectory.sh [repo-root]   (defaults to the repo
 # containing this script). Exits non-zero on any malformed record.
 set -u
@@ -83,6 +90,60 @@ def check(path):
                 " vs ".join(str(list(s)) for s in sorted(schemas)))
     return None
 
+def nonempty_str(value):
+    return isinstance(value, str) and bool(value.strip())
+
+def check_benchmark(path):
+    try:
+        with open(path) as f:
+            data = json.load(f)
+    except OSError as e:
+        return f"cannot read: {e}"
+    except json.JSONDecodeError as e:
+        return f"not valid JSON: {e}"
+    if not isinstance(data, dict):
+        return "top level is not an object"
+    workloads = data.get("workloads")
+    if not isinstance(workloads, list) or not workloads:
+        return "'workloads' is missing or empty"
+    names = set()
+    for i, workload in enumerate(workloads):
+        if not isinstance(workload, dict):
+            return f"workloads[{i}] is not an object"
+        for key in ("name", "why"):
+            if not nonempty_str(workload.get(key)):
+                return f"workloads[{i}] lacks a non-empty '{key}'"
+        if workload["name"] in names:
+            return f"workload name {workload['name']!r} is not unique"
+        names.add(workload["name"])
+    metric_names = set()
+    for section, bounded in (("end_to_end", True), ("per_layer", False)):
+        metrics = data.get(section, [] if not bounded else None)
+        if not isinstance(metrics, list) or (bounded and not metrics):
+            return f"'{section}' is missing or empty"
+        for i, metric in enumerate(metrics):
+            where = f"{section}[{i}]"
+            if not isinstance(metric, dict):
+                return f"{where} is not an object"
+            for key in ("name", "unit"):
+                if not nonempty_str(metric.get(key)):
+                    return f"{where} lacks a non-empty '{key}'"
+            if metric.get("better") not in ("lower", "higher"):
+                return (f"{where} ({metric['name']}) has better="
+                        f"{metric.get('better')!r}, expected 'lower' or "
+                        "'higher'")
+            if bounded:
+                bound = metric.get("bound")
+                if (isinstance(bound, bool) or
+                        not isinstance(bound, (int, float)) or
+                        not 0 < bound <= 1):
+                    return (f"{where} ({metric['name']}) has bound="
+                            f"{bound!r}, expected a number in (0, 1]")
+            if metric["name"] in metric_names:
+                return f"metric name {metric['name']!r} is not unique"
+            metric_names.add(metric["name"])
+    return None
+
 for path in records:
     problem = check(path)
     if problem is None:
@@ -91,8 +152,15 @@ for path in records:
         print(f"FAIL  {path}: {problem}")
         failures.append(path)
 
+problem = check_benchmark("BENCHMARK.json")
+if problem is None:
+    print("PASS  BENCHMARK.json")
+else:
+    print(f"FAIL  BENCHMARK.json: {problem}")
+    failures.append("BENCHMARK.json")
+
 if failures:
     print(f"check_bench_trajectory: {len(failures)} malformed record(s)")
     sys.exit(1)
-print(f"check_bench_trajectory: {len(records)} record(s) OK")
+print(f"check_bench_trajectory: {len(records) + 1} record(s) OK")
 EOF

@@ -159,7 +159,8 @@ int RunSql(const storage::Database& database, const std::string& query) {
 }
 
 int RunReport(const storage::Database& database) {
-  violation::ViolationDetector detector(&database.config);
+  violation::ViolationDetector detector(
+      &database.config, violation::WithConfigHierarchy(database.config));
   Result<violation::ViolationReport> report = detector.Analyze();
   if (!report.ok()) return Fail(report.status());
   violation::DefaultReport defaults =
@@ -171,7 +172,8 @@ int RunReport(const storage::Database& database) {
 int RunCertify(const storage::Database& database, const std::string& text) {
   Result<double> alpha = ParseDouble(text);
   if (!alpha.ok()) return Fail(alpha.status());
-  violation::ViolationDetector detector(&database.config);
+  violation::ViolationDetector detector(
+      &database.config, violation::WithConfigHierarchy(database.config));
   Result<violation::ViolationReport> report = detector.Analyze();
   if (!report.ok()) return Fail(report.status());
   Result<violation::AlphaCertification> cert =
@@ -192,7 +194,8 @@ int RunStatement(const storage::Database& database,
                  const std::string& text) {
   Result<int64_t> provider = ParseInt64(text);
   if (!provider.ok()) return Fail(provider.status());
-  violation::ViolationDetector detector(&database.config);
+  violation::ViolationDetector detector(
+      &database.config, violation::WithConfigHierarchy(database.config));
   Result<violation::ViolationReport> report = detector.Analyze();
   if (!report.ok()) return Fail(report.status());
   Result<std::string> statement = violation::TransparencyStatement(
@@ -209,8 +212,9 @@ int RunDiff(const storage::Database& database, const std::string& path) {
       privacy::ParsePrivacyConfig(dsl.value());
   if (!proposed.ok()) return Fail(proposed.status());
   Result<violation::ChangeImpact> impact =
-      violation::AssessPolicyChange(database.config,
-                                    proposed.value().policy);
+      violation::AssessPolicyChange(
+          database.config, proposed.value().policy,
+          violation::WithConfigHierarchy(database.config));
   if (!impact.ok()) return Fail(impact.status());
   std::cout << impact->diff.ToString(database.config.purposes,
                                      database.config.scales)
@@ -229,8 +233,8 @@ int RunExpansionCheck(const storage::Database& database,
   if (!utility.ok()) return Fail(utility.status());
   Result<double> extra = ParseDouble(extra_text);
   if (!extra.ok()) return Fail(extra.status());
-  Result<violation::ViolationView> view =
-      violation::ViolationView::Create(&database.config);
+  Result<violation::ViolationView> view = violation::ViolationView::Create(
+      &database.config, violation::WithConfigHierarchy(database.config));
   if (!view.ok()) return Fail(view.status());
   Result<violation::ViolationView::ExpansionCheck> check =
       view->CheckExpansion(utility.value(), extra.value());
@@ -304,7 +308,8 @@ int RunEnforce(const storage::Database& database, const std::string& purpose,
 // reduce — the same spans a `serve` request would record). In-process
 // equivalent of the serve-mode `trace` command.
 int RunTrace(const storage::Database& database) {
-  violation::ViolationDetector detector(&database.config);
+  violation::ViolationDetector detector(
+      &database.config, violation::WithConfigHierarchy(database.config));
   Result<violation::ViolationReport> report = [&] {
     obs::TraceScope trace(obs::Tracer::Default(), "ppdb-cli-trace",
                           "analyze");
