@@ -160,6 +160,19 @@ TEST_F(DetectorTest, PurposeHierarchyResolvesAncestorConsent) {
   EXPECT_FALSE(resolved.violated);
 }
 
+TEST_F(DetectorTest, WithConfigHierarchyPointsAtDeclaredEdgesOnly) {
+  ViolationDetector::Options options;
+  options.num_threads = 3;
+  EXPECT_EQ(WithConfigHierarchy(config_, options).purpose_hierarchy,
+            nullptr);
+  PurposeId email = config_.purposes.Register("email_marketing").value();
+  ASSERT_OK(config_.purpose_hierarchy.AddEdge(email, marketing_,
+                                              config_.purposes));
+  ViolationDetector::Options resolved = WithConfigHierarchy(config_, options);
+  EXPECT_EQ(resolved.purpose_hierarchy, &config_.purpose_hierarchy);
+  EXPECT_EQ(resolved.num_threads, 3);
+}
+
 TEST_F(DetectorTest, HierarchyStillViolatesWhenAncestorConsentTight) {
   PurposeId email = config_.purposes.Register("email_marketing").value();
   ASSERT_OK(config_.purpose_hierarchy.AddEdge(email, marketing_,

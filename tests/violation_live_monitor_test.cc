@@ -52,6 +52,34 @@ TEST_F(LiveMonitorTest, InitialStateMatchesBatchDetector) {
                    report.ProbabilityOfViolation());
 }
 
+// `purpose email implies ads`: the providers' `ads` consent covers an
+// `email` policy tuple only when the monitor analyzes the config with the
+// hierarchy it declares.
+TEST_F(LiveMonitorTest, CreateWithConfigHierarchyHonoursDeclaredEdges) {
+  PurposeId email = config_.purposes.Register("email").value();
+  ASSERT_OK(config_.purpose_hierarchy.AddEdge(email, purpose_,
+                                              config_.purposes));
+  ASSERT_OK(config_.policy.Add("weight", PrivacyTuple{email, 1, 1, 1}));
+  ASSERT_OK_AND_ASSIGN(LivePopulationMonitor plain,
+                       LivePopulationMonitor::Create(config_));
+  EXPECT_EQ(plain.num_violated(), 4);  // implicit zero for `email`
+
+  ASSERT_OK_AND_ASSIGN(
+      LivePopulationMonitor created,
+      LivePopulationMonitor::CreateWithConfigHierarchy(
+          privacy::PrivacyConfig(config_)));
+  // Moved, and built from a temporary: the view must read the hierarchy of
+  // the config the monitor owns.
+  LivePopulationMonitor monitor = std::move(created);
+  ViolationDetector with(&config_, WithConfigHierarchy(config_));
+  ASSERT_OK_AND_ASSIGN(ViolationReport report, with.Analyze());
+  EXPECT_EQ(report.num_violated, 2);  // levels 0 and 1 fail the ads tuple
+  EXPECT_EQ(monitor.num_violated(), report.num_violated);
+  ASSERT_OK(
+      monitor.SetPreference(4, "weight", PrivacyTuple{purpose_, 1, 1, 1}));
+  EXPECT_EQ(monitor.num_violated(), 3);
+}
+
 TEST_F(LiveMonitorTest, AddAndRemoveProvider) {
   ASSERT_OK_AND_ASSIGN(LivePopulationMonitor monitor,
                        LivePopulationMonitor::Create(config_));
