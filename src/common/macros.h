@@ -26,7 +26,8 @@
 /// Deliberately discards a `Status` or `Result<T>`. With both types
 /// `[[nodiscard]]`, this is the only sanctioned way to drop one; every use
 /// should carry a comment saying where the error is recorded instead
-/// (e.g. "checkpoint outcome lands in last_checkpoint_status").
+/// (e.g. "the failure is recorded in last_checkpoint_status_ and the
+/// breaker").
 #define PPDB_IGNORE_ERROR(expr) (void)(expr)
 
 #define PPDB_CONCAT_IMPL(x, y) x##y

@@ -484,8 +484,7 @@ void AppendScale(std::string& out, const OrderedScale& scale) {
   out += ": ";
   for (int i = 0; i < scale.num_levels(); ++i) {
     if (i > 0) out += ", ";
-    char buf[32];
-    out.append(buf, FormatGeneral(buf, scale.MagnitudeOf(i).value(), 6));
+    AppendNumber(out, scale.MagnitudeOf(i).value());
   }
   out += '\n';
 }

@@ -175,17 +175,15 @@ Result<std::unique_ptr<DatabaseService>> DatabaseService::Create(
                         LivePopulationMonitor::CreateWithConfigHierarchy(
                             std::move(database.config), detector_options));
   database.config = privacy::PrivacyConfig();
-  std::unique_ptr<storage::Journal> journal;
-  if (options.journal_enabled) {
-    // The journal resumes the segment LoadDatabase just replayed (its
-    // base is the loaded generation), so acknowledged-but-uncheckpointed
-    // events stay covered until the next checkpoint prunes them.
-    storage::Journal::Options journal_options;
-    journal_options.batch_window = options.journal_batch_window;
-    PPDB_ASSIGN_OR_RETURN(
-        journal, storage::Journal::Open(dir, recovery.loaded_generation, *fs,
-                                        journal_options));
-  }
+  // The journal resumes the segment LoadDatabase just replayed (its base
+  // is the loaded generation), so acknowledged-but-uncheckpointed events
+  // stay covered until the next checkpoint prunes them.
+  storage::Journal::Options journal_options;
+  journal_options.batch_window = options.journal_batch_window;
+  PPDB_ASSIGN_OR_RETURN(
+      std::unique_ptr<storage::Journal> journal,
+      storage::Journal::Open(dir, recovery.loaded_generation, *fs,
+                             journal_options));
   // ppdb-lint: allow(raw-new) -- private ctor, make_unique cannot reach it.
   std::unique_ptr<DatabaseService> service(new DatabaseService(
       std::move(dir), fs, options, std::move(recovery), std::move(monitor),
@@ -210,57 +208,44 @@ DatabaseService::DatabaseService(std::string dir, storage::FileSystem* fs,
       breaker_(WithBreakerMirror(options.breaker)) {
   ServiceMetrics::Get().breaker_state->Set(
       BreakerStateValue(breaker_.state()));
-  LivePopulationMonitor::CheckpointHook hook;
-  hook.every_events = options_.checkpoint_every_events;
-  hook.save = [this](const privacy::PrivacyConfig& config) {
-    return GuardedSave(config);
-  };
-  monitor_.SetCheckpointHook(std::move(hook));
 }
 
-Status DatabaseService::SaveNow(const privacy::PrivacyConfig& config) {
-  storage::SaveOptions save_options;
-  save_options.retry = options_.save_retry;
+Status DatabaseService::Checkpoint(bool bypass_breaker) {
+  Status status = bypass_breaker ? Status::OK() : breaker_.Allow();
   std::string committed;
-  PPDB_RETURN_NOT_OK(storage::SaveDatabase(
-      dir_,
-      storage::DatabaseRef{database_.catalog, config, database_.ledger,
-                           database_.log},
-      *fs_, save_options, &committed));
+  if (status.ok()) {
+    storage::SaveOptions save_options;
+    save_options.retry = options_.save_retry;
+    status = storage::SaveDatabase(
+        dir_,
+        storage::DatabaseRef{database_.catalog, monitor_.config(),
+                             database_.ledger, database_.log},
+        *fs_, save_options, &committed);
+    breaker_.Record(status);
+  }
+  last_checkpoint_status_ = status;
+  if (!status.ok()) return status;
+  ++checkpoints_taken_;
+  events_since_checkpoint_ = 0;
   last_checkpoint_generation_ = committed;
-  if (journal_ != nullptr) {
-    // The commit pruned every journal segment; start the next one. A
-    // rotation failure leaves the journal wedged — the checkpoint itself
-    // still succeeded (all applied events are in `committed`), and the
-    // next event's rescue checkpoint retries the rotation.
-    if (Status rotated = journal_->RotateTo(committed); !rotated.ok()) {
-      PPDB_LOG(kWarning) << "journal rotation to " << committed
-                         << " failed: " << rotated.message();
-    }
+  // The commit pruned every journal segment; start the next one. A
+  // rotation failure leaves the journal wedged — the checkpoint itself
+  // still succeeded (all applied events are in `committed`), and the
+  // next event's rescue checkpoint retries the rotation.
+  if (Status rotated = journal_->RotateTo(committed); !rotated.ok()) {
+    PPDB_LOG(kWarning) << "journal rotation to " << committed
+                       << " failed: " << rotated.message();
   }
   return Status::OK();
-}
-
-Status DatabaseService::GuardedSave(const privacy::PrivacyConfig& config) {
-  // Held by the event / save / checkpoint path that fired the monitor's
-  // hook (see the declaration comment); the std::function hop hides that
-  // from the thread-safety analysis.
-  mu_.AssertHeld();
-  PPDB_RETURN_NOT_OK(breaker_.Allow());
-  Status status = SaveNow(config);
-  breaker_.Record(status);
-  return status;
 }
 
 Status DatabaseService::FinalCheckpoint() {
   WriterMutexLock lock(mu_);
   // Deliberately not breaker-gated: this is the last save this process
   // will ever attempt, so it runs even against a backend the breaker
-  // currently distrusts. A success is still fed back so the breaker's
+  // currently distrusts. Its outcome is still recorded so the breaker's
   // counters tell the truth in post-mortem logs.
-  Status status = SaveNow(monitor_.config());
-  breaker_.Record(status);
-  return status;
+  return Checkpoint(/*bypass_breaker=*/true);
 }
 
 Response DatabaseService::Execute(const Request& request,
@@ -352,10 +337,9 @@ Response DatabaseService::ExecuteLocked(const Request& request,
     }
     case RequestKind::kSave: {
       WriterMutexLock lock(mu_);
-      Status status = monitor_.CheckpointNow();
+      Status status = Checkpoint();
       if (!status.ok()) return Err(std::move(status));
-      return Ok("checkpoints_taken=" +
-                std::to_string(monitor_.checkpoints_taken()));
+      return Ok("checkpoints_taken=" + std::to_string(checkpoints_taken_));
     }
   }
   return Err(Status::Internal("unhandled request kind"));
@@ -470,11 +454,10 @@ Response DatabaseService::Event(const Request& request) {
   // acknowledged atop an uncertain tail. Rescue with a checkpoint — a
   // committed generation captures every applied event, prunes the bad
   // segment, and rotation re-arms the journal.
-  if (journal_ != nullptr && journal_->wedged()) {
-    if (Status allow = breaker_.Allow(); allow.ok()) {
-      Status saved = SaveNow(monitor_.config());
-      breaker_.Record(saved);
-    }
+  if (journal_->wedged()) {
+    // Checkpoint records its outcome; whether it re-armed the journal is
+    // what decides this event.
+    PPDB_IGNORE_ERROR(Checkpoint());
     if (journal_->wedged()) {
       return Err(Status::Unavailable(
           "journal unavailable and rescue checkpoint failed; "
@@ -491,16 +474,13 @@ Response DatabaseService::Event(const Request& request) {
   if (Status valid = event->Validate(monitor_.config()); !valid.ok()) {
     return Err(std::move(valid));
   }
-  if (journal_ != nullptr) {
-    if (Status appended = journal_->Append(event->Encode());
-        !appended.ok()) {
-      // One breaker-visible failure per failed event, always coded
-      // transient so even a permanent fault (ENOSPC is kOutOfRange)
-      // opens the breaker and turns the service read-only.
-      breaker_.Record(Status::Unavailable("journal append failed"));
-      return Err(Status::Unavailable("event not durable: " +
-                                     appended.message()));
-    }
+  if (Status appended = journal_->Append(event->Encode()); !appended.ok()) {
+    // One breaker-visible failure per failed event, always coded transient
+    // so even a permanent fault (ENOSPC is kOutOfRange) opens the breaker
+    // and turns the service read-only.
+    breaker_.Record(Status::Unavailable("journal append failed"));
+    return Err(Status::Unavailable("event not durable: " +
+                                   appended.message()));
   }
 
   Status status;
@@ -543,6 +523,14 @@ Response DatabaseService::Event(const Request& request) {
   // memory state rejected. Replay stops at it the same way, so recovery
   // still converges to the acknowledged history.
   if (!status.ok()) return Err(std::move(status));
+  // Periodic checkpoint: the event is already durable in the journal, so
+  // a failed checkpoint never fails it. The failure is recorded in
+  // last_checkpoint_status_ and the breaker, and the next event retries.
+  ++events_since_checkpoint_;
+  if (options_.checkpoint_every_events > 0 &&
+      events_since_checkpoint_ >= options_.checkpoint_every_events) {
+    PPDB_IGNORE_ERROR(Checkpoint());
+  }
   // Periodic drift oracle: at the configured cadence, force a full
   // recompute and bitwise-compare it against the maintained view. Runs
   // under the writer lock we already hold. Drift never fails the event —
@@ -558,8 +546,6 @@ Response DatabaseService::Event(const Request& request) {
                          << drift.value().detail;
     }
   }
-  // The event itself succeeded even if a due checkpoint failed — that
-  // failure lives in last_checkpoint_status and in the breaker.
   return Ok("providers=" + std::to_string(monitor_.num_providers()) +
             " pw=" + Num(monitor_.ProbabilityOfViolation()) +
             " pdefault=" + Num(monitor_.ProbabilityOfDefault()));
@@ -573,16 +559,15 @@ Response DatabaseService::Query(const Request& request) {
     return Ok("pdefault=" + Num(monitor_.ProbabilityOfDefault()));
   }
   if (request.target == "monitor") {
-    const Status& last = monitor_.last_checkpoint_status();
     return Ok("providers=" + std::to_string(monitor_.num_providers()) +
               " violated=" + std::to_string(monitor_.num_violated()) +
               " defaulted=" + std::to_string(monitor_.num_defaulted()) +
               " total_severity=" + Num(monitor_.TotalViolations()) +
-              " checkpoints=" + std::to_string(monitor_.checkpoints_taken()) +
+              " checkpoints=" + std::to_string(checkpoints_taken_) +
               " events_since_checkpoint=" +
-              std::to_string(monitor_.events_since_checkpoint()) +
+              std::to_string(events_since_checkpoint_) +
               " last_checkpoint=" +
-              std::string(StatusCodeToString(last.code())));
+              std::string(StatusCodeToString(last_checkpoint_status_.code())));
   }
   if (request.target == "provider") {
     // One lookup of maintained state; the incidents themselves are never
@@ -636,22 +621,17 @@ Response DatabaseService::DriftCheck() {
 }
 
 Response DatabaseService::Stats() {
-  const Status& last = monitor_.last_checkpoint_status();
   // One locked snapshot instead of three separate breaker reads, so state
   // and counters cannot interleave with a trip happening between them.
   const CircuitBreaker::StatsSnapshot breaker = breaker_.Snapshot();
   // Durability posture: lets the shed-storm runbook tell "behind on
   // checkpoints" (events_since_checkpoint high, journal growing) from
   // "broker overload" (both small, queues deep).
-  std::string journal =
-      journal_ == nullptr
-          ? " journal=none"
-          : " journal=" + journal_->segment_name() +
-                (journal_->wedged() ? " journal_wedged=1" : "") +
-                " journal_bytes=" +
-                std::to_string(journal_->active_segment_bytes()) +
-                " journal_records=" +
-                std::to_string(journal_->records_in_segment());
+  const std::string journal =
+      " journal=" + journal_->segment_name() +
+      (journal_->wedged() ? " journal_wedged=1" : "") +
+      " journal_bytes=" + std::to_string(journal_->active_segment_bytes()) +
+      " journal_records=" + std::to_string(journal_->records_in_segment());
   // View posture: how the O(Δ) maintenance is doing. delta vs rebuild
   // event counts tell whether the serve path is actually riding the cheap
   // lane; nonzero drift_checks_failed is a page (see OBSERVABILITY.md).
@@ -671,10 +651,10 @@ Response DatabaseService::Stats() {
       " breaker=" + std::string(CircuitBreaker::StateName(breaker.state)) +
       " breaker_trips=" + std::to_string(breaker.trips) +
       " breaker_rejected=" + std::to_string(breaker.rejected) +
-      " checkpoints=" + std::to_string(monitor_.checkpoints_taken()) +
-      " events_since_checkpoint=" +
-      std::to_string(monitor_.events_since_checkpoint()) +
-      " last_checkpoint=" + std::string(StatusCodeToString(last.code())) +
+      " checkpoints=" + std::to_string(checkpoints_taken_) +
+      " events_since_checkpoint=" + std::to_string(events_since_checkpoint_) +
+      " last_checkpoint=" +
+      std::string(StatusCodeToString(last_checkpoint_status_.code())) +
       " last_checkpoint_generation=" +
       (last_checkpoint_generation_.empty() ? "none"
                                            : last_checkpoint_generation_) +

@@ -30,10 +30,14 @@ namespace ppdb::server {
 /// and fsync'd, then applied in memory and acknowledged — in that order,
 /// under the writer lock. A crash at any point loses no acknowledged
 /// event (`LoadDatabase` replays the journal) and applies no
-/// unacknowledged one. Journal append failures feed the circuit breaker
-/// exactly like save failures; a wedged journal triggers a rescue
-/// checkpoint on the next event and keeps events failing `kUnavailable`
-/// until one succeeds.
+/// unacknowledged one. A checkpoint commits the applied state as a new
+/// generation and rotates the journal, so it only bounds what a restart
+/// replays. Every checkpoint — the periodic one, the `save` request, the
+/// wedged-journal rescue and `FinalCheckpoint` — runs through one
+/// function under the writer lock. Journal append failures feed the
+/// circuit breaker exactly like save failures; a wedged journal triggers
+/// a rescue checkpoint on the next event and keeps events failing
+/// `kUnavailable` until one succeeds.
 ///
 /// Concurrency: reads take a shared lock and run concurrently with each
 /// other; events and saves take an exclusive lock. The census reads are
@@ -44,22 +48,22 @@ namespace ppdb::server {
 /// `driftcheck` run full detector scans, which parallelize through the
 /// engine's own `ThreadPool`.
 ///
-/// Degraded mode: every save — the periodic live-monitor checkpoint and the
-/// explicit `save` request — passes through the circuit breaker. After
-/// `failure_threshold` consecutive transient storage faults the breaker
-/// opens and the service turns *read-only*: mutating requests are rejected
-/// with `kUnavailable` (a retry-after hint in the message) instead of
-/// accepting events whose durability cannot be promised, while every read
-/// keeps serving from memory. Once `open_duration` passes, the next save
-/// probes the backend and a success restores writes. Checkpoint failures
-/// inside an *admitted* event never fail the event (the monitor records
-/// them; see `LivePopulationMonitor::CheckpointHook`) — they feed the
-/// breaker instead.
+/// Degraded mode: every save but the final one passes through the circuit
+/// breaker. After `failure_threshold` consecutive transient storage faults
+/// the breaker opens and the service turns *read-only*: mutating requests
+/// are rejected with `kUnavailable` (a retry-after hint in the message)
+/// instead of accepting events whose durability cannot be promised, while
+/// every read keeps serving from memory. Once `open_duration` passes, the
+/// next save probes the backend and a success restores writes. A periodic
+/// checkpoint that fails inside an *admitted* event never fails the event,
+/// which the journal already holds: the failure is recorded (`stats`
+/// `last_checkpoint=`) and feeds the breaker, and the next event retries.
 class DatabaseService {
  public:
   struct Options {
-    /// Live-monitor checkpoint cadence, in successful mutating events.
-    /// 0 disables periodic checkpoints (explicit `save` still works).
+    /// Checkpoint cadence, in successful mutating events. A checkpoint
+    /// bounds the journal a restart replays; 0 disables periodic
+    /// checkpoints (explicit `save` still works).
     int64_t checkpoint_every_events = 32;
     /// Breaker guarding the storage backend.
     CircuitBreaker::Options breaker;
@@ -67,12 +71,6 @@ class DatabaseService {
     RetryOptions save_retry;
     /// Threads for the heavy analytics (0 = hardware concurrency).
     int num_threads = 0;
-    /// Write-ahead journal: every mutating event is appended and fsync'd
-    /// *before* it is applied and acknowledged, so acknowledged events
-    /// survive a crash between checkpoints. false restores the seed's
-    /// checkpoint-granular durability (tests use it to isolate save
-    /// faults).
-    bool journal_enabled = true;
     /// Group-commit window: how long a journal flush leader waits for
     /// concurrent events to join its fsync. 0 = sync immediately.
     std::chrono::microseconds journal_batch_window{0};
@@ -117,18 +115,13 @@ class DatabaseService {
                   storage::Database database,
                   std::unique_ptr<storage::Journal> journal);
 
-  /// Assembles the full on-disk Database around `config` and saves it,
-  /// with bounded retry. One call = one breaker-visible outcome. On
-  /// success the journal (whose segments the save just pruned) rotates to
-  /// the new generation, clearing any wedge.
-  Status SaveNow(const privacy::PrivacyConfig& config) PPDB_REQUIRES(mu_);
-
-  /// The breaker-gated save installed as the monitor's checkpoint hook.
-  /// Always invoked with mu_ held exclusively (the hook only fires inside
-  /// monitor_ event calls, which happen under the writer lock); asserted
-  /// to the analysis via mu_.AssertHeld() because the call arrives through
-  /// a std::function the analysis cannot follow.
-  Status GuardedSave(const privacy::PrivacyConfig& config);
+  /// The one checkpoint path. Asks the breaker first unless
+  /// `bypass_breaker`, then saves monitor_'s config beside database_ with
+  /// bounded retry; one call is one breaker-visible outcome. Records the
+  /// outcome in the checkpoint counters. On success the journal (whose
+  /// segments the save just pruned) rotates to the new generation,
+  /// clearing any wedge.
+  Status Checkpoint(bool bypass_breaker = false) PPDB_REQUIRES(mu_);
 
   Response ExecuteLocked(const Request& request, const Deadline& deadline)
       PPDB_EXCLUDES(mu_);
@@ -168,16 +161,21 @@ class DatabaseService {
       PPDB_ACQUIRED_BEFORE(journal, breaker, pool);
   violation::LivePopulationMonitor monitor_ PPDB_GUARDED_BY(mu_);
   /// The loaded database minus its privacy config, which monitor_ owns;
-  /// `database_.config` stays empty. `SaveNow` writes monitor_'s config
+  /// `database_.config` stays empty. `Checkpoint` writes monitor_'s config
   /// beside the catalog, ledger and audit log here, all by reference.
   storage::Database database_ PPDB_GUARDED_BY(mu_);
-  /// Write-ahead journal (null when Options::journal_enabled is false).
-  /// Internally synchronized; the pointer itself is set once at
-  /// construction and never reseated.
+  /// Write-ahead journal, never null. Internally synchronized; the pointer
+  /// itself is set once at construction and never reseated.
   const std::unique_ptr<storage::Journal> journal_;
   /// Generation holding the last successful checkpoint — the journal's
   /// base. Starts at the loaded generation.
   std::string last_checkpoint_generation_ PPDB_GUARDED_BY(mu_);
+  /// Checkpoints that have committed.
+  int64_t checkpoints_taken_ PPDB_GUARDED_BY(mu_) = 0;
+  /// Successful mutating events since the last successful checkpoint.
+  int64_t events_since_checkpoint_ PPDB_GUARDED_BY(mu_) = 0;
+  /// Outcome of the most recent checkpoint attempt (OK before the first).
+  Status last_checkpoint_status_ PPDB_GUARDED_BY(mu_);
   /// Successful mutating events since the last periodic drift check
   /// (only advanced when Options::drift_check_every_events > 0).
   int64_t events_since_drift_check_ PPDB_GUARDED_BY(mu_) = 0;

@@ -56,29 +56,6 @@ LivePopulationMonitor::LivePopulationMonitor(
     : config_(std::make_unique<privacy::PrivacyConfig>(std::move(config))),
       detector_options_(detector_options) {}
 
-Status LivePopulationMonitor::CheckpointNow() {
-  if (!hook_.save) {
-    return Status::FailedPrecondition("no checkpoint hook installed");
-  }
-  Status status = hook_.save(*config_);
-  last_checkpoint_status_ = status;
-  if (status.ok()) {
-    ++checkpoints_taken_;
-    events_since_checkpoint_ = 0;
-  }
-  return status;
-}
-
-Status LivePopulationMonitor::CountEvent() {
-  // The counter always tracks — it is the "durability debt" surfaced by
-  // stats even when periodic checkpoints are off — but only a positive
-  // cadence triggers a checkpoint from here.
-  ++events_since_checkpoint_;
-  if (hook_.every_events <= 0 || !hook_.save) return Status::OK();
-  if (events_since_checkpoint_ < hook_.every_events) return Status::OK();
-  return CheckpointNow();
-}
-
 Status LivePopulationMonitor::AddProvider(ProviderId provider,
                                           double threshold) {
   if (config_->preferences.Contains(provider)) {
@@ -89,7 +66,6 @@ Status LivePopulationMonitor::AddProvider(ProviderId provider,
   config_->thresholds[provider] = threshold;
   PPDB_RETURN_NOT_OK(view_->OnProviderAdded(provider));
   PublishGauges(*this);
-  (void)CountEvent();  // Checkpoint outcome lands in last_checkpoint_status.
   return Status::OK();
 }
 
@@ -102,7 +78,6 @@ Status LivePopulationMonitor::RemoveProvider(ProviderId provider) {
   config_->thresholds.erase(provider);
   PPDB_RETURN_NOT_OK(view_->OnProviderRemoved(provider));
   PublishGauges(*this);
-  (void)CountEvent();
   return Status::OK();
 }
 
@@ -114,7 +89,6 @@ Status LivePopulationMonitor::SetPreference(
   PPDB_RETURN_NOT_OK(
       view_->OnPreferenceChanged(provider, attribute, tuple.purpose));
   PublishGauges(*this);
-  (void)CountEvent();
   return Status::OK();
 }
 
@@ -129,7 +103,6 @@ Status LivePopulationMonitor::RemovePreference(ProviderId provider,
       config_->preferences.ForProvider(provider).Remove(attribute, purpose));
   PPDB_RETURN_NOT_OK(view_->OnPreferenceChanged(provider, attribute, purpose));
   PublishGauges(*this);
-  (void)CountEvent();
   return Status::OK();
 }
 
@@ -146,7 +119,6 @@ Status LivePopulationMonitor::SetThreshold(ProviderId provider,
   // Severity is unchanged; only the default bit can flip.
   PPDB_RETURN_NOT_OK(view_->OnThresholdChanged(provider));
   PublishGauges(*this);
-  (void)CountEvent();
   return Status::OK();
 }
 
@@ -155,7 +127,6 @@ Status LivePopulationMonitor::SetPolicy(privacy::HousePolicy policy) {
   config_->policy = std::move(policy);
   PPDB_RETURN_NOT_OK(view_->OnPolicyChanged());
   PublishGauges(*this);
-  (void)CountEvent();
   return Status::OK();
 }
 

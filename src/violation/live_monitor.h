@@ -2,7 +2,6 @@
 #define PPDB_VIOLATION_LIVE_MONITOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string_view>
@@ -29,10 +28,8 @@ namespace ppdb::violation {
 ///
 /// Thread safety: thread-compatible, externally synchronized. The monitor
 /// holds no mutex of its own; `DatabaseService` serializes every mutation
-/// (and the checkpoint hook the mutations may fire) under its exclusive
-/// writer lock, and takes the shared lock for read-only queries. The hook
-/// installed via `SetCheckpointHook` therefore always runs with the
-/// caller's exclusive lock held — see `DatabaseService::GuardedSave`.
+/// under its exclusive writer lock, and takes the shared lock for
+/// read-only queries.
 ///
 /// Usage:
 ///
@@ -83,44 +80,6 @@ class LivePopulationMonitor {
   /// moved columns; a shape change rebuilds the view.
   Status SetPolicy(privacy::HousePolicy policy);
 
-  // --- durability -------------------------------------------------------
-
-  /// Periodic checkpoint hook. Every `every_events` successful mutating
-  /// events (provider joins/departures, preference/threshold/policy edits)
-  /// the monitor hands its current config to `save` — typically a closure
-  /// over `storage::SaveDatabase`, whose atomic commit protocol makes the
-  /// checkpoint crash-safe. A failed checkpoint is reported (see below)
-  /// but never blocks or rolls back the event that triggered it; the next
-  /// event retries it.
-  struct CheckpointHook {
-    /// Checkpoint cadence in events; 0 disables checkpointing.
-    int64_t every_events = 0;
-    std::function<Status(const privacy::PrivacyConfig&)> save;
-  };
-
-  /// Installs (or, with a default-constructed hook, removes) the hook.
-  /// Resets the event counter.
-  void SetCheckpointHook(CheckpointHook hook) {
-    hook_ = std::move(hook);
-    events_since_checkpoint_ = 0;
-  }
-
-  /// Runs the hook now regardless of cadence. `kFailedPrecondition` when
-  /// no hook is installed; otherwise whatever the hook returns (also
-  /// recorded as `last_checkpoint_status`).
-  Status CheckpointNow();
-
-  /// Successful mutating events since the last successful checkpoint.
-  int64_t events_since_checkpoint() const {
-    return events_since_checkpoint_;
-  }
-  /// Checkpoints that have completed successfully.
-  int64_t checkpoints_taken() const { return checkpoints_taken_; }
-  /// Outcome of the most recent checkpoint attempt (OK before the first).
-  const Status& last_checkpoint_status() const {
-    return last_checkpoint_status_;
-  }
-
   // --- queries (O(1) unless noted) --------------------------------------
 
   int64_t num_providers() const { return view_->num_providers(); }
@@ -170,11 +129,6 @@ class LivePopulationMonitor {
   static Result<LivePopulationMonitor> Materialize(
       LivePopulationMonitor monitor);
 
-  /// Counts one successful mutating event and fires the checkpoint hook at
-  /// the configured cadence. Returns the checkpoint status (OK when no
-  /// checkpoint was due).
-  Status CountEvent();
-
   // Behind a unique_ptr so the view's config pointer survives moves of the
   // monitor (DatabaseService::Create moves the monitor into place).
   std::unique_ptr<privacy::PrivacyConfig> config_;
@@ -182,11 +136,6 @@ class LivePopulationMonitor {
   // Engaged by Create before the monitor is handed out; optional only
   // because the view itself is built through a fallible factory.
   std::optional<ViolationView> view_;
-
-  CheckpointHook hook_;
-  int64_t events_since_checkpoint_ = 0;
-  int64_t checkpoints_taken_ = 0;
-  Status last_checkpoint_status_;
 };
 
 }  // namespace ppdb::violation

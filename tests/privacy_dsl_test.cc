@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "tests/test_util.h"
 
 namespace ppdb::privacy {
@@ -227,6 +230,26 @@ TEST(PolicyDslTest, RoundTripThroughSerializer) {
   EXPECT_TRUE(reparsed.purpose_hierarchy.Implies(email, marketing));
   // Magnitudes survived.
   EXPECT_DOUBLE_EQ(reparsed.scales.retention.MagnitudeOf(3).value(), 365.0);
+}
+
+// Retention magnitudes drive the access monitor and the retention sweeper,
+// so every checkpoint must write them back exactly, not to six digits.
+TEST(PolicyDslTest, MagnitudesRoundTripBitForBit) {
+  ASSERT_OK_AND_ASSIGN(
+      PrivacyConfig original,
+      ParsePrivacyConfig("scale retention: none, week, month, century, far\n"
+                         "magnitudes retention: 0, 7, 30, 36500.123, "
+                         "1234567\n"));
+  ASSERT_OK_AND_ASSIGN(PrivacyConfig reparsed,
+                       ParsePrivacyConfig(SerializePrivacyConfig(original)));
+  for (int level : {3, 4}) {
+    ASSERT_OK_AND_ASSIGN(double want,
+                         original.scales.retention.MagnitudeOf(level));
+    ASSERT_OK_AND_ASSIGN(double got,
+                         reparsed.scales.retention.MagnitudeOf(level));
+    EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+        << "level " << level << ": " << got << " != " << want;
+  }
 }
 
 TEST(PolicyDslTest, ValidationRejectsOutOfScaleTuples) {

@@ -649,12 +649,12 @@ class CensusServiceTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  /// A fresh service over the saved database: no journal and no periodic
-  /// checkpoints, so the run touches the disk only to load.
+  /// A fresh service over the saved database with no periodic
+  /// checkpoints, so the run touches the disk only to load and to journal
+  /// events.
   std::unique_ptr<DatabaseService> MakeService(int threads) {
     DatabaseService::Options options;
     options.checkpoint_every_events = 0;
-    options.journal_enabled = false;
     options.num_threads = threads;
     Result<std::unique_ptr<DatabaseService>> service = DatabaseService::Create(
         dir_.string(), &storage::GetRealFileSystem(), options);
@@ -800,7 +800,6 @@ TEST_P(CensusServiceEquivalenceTest, ServedPayloadsMatchTheDetectorPath) {
   ASSERT_OK_AND_ASSIGN(
       database.config,
       privacy::ParsePrivacyConfig(RandomDsl(config_rng, shape)));
-  ASSERT_OK(storage::SaveDatabase(dir_.string(), database));
 
   for (violation::kernel::Target target : SupportedTargets()) {
     ASSERT_OK(violation::kernel::ForceTarget(target));
@@ -809,6 +808,10 @@ TEST_P(CensusServiceEquivalenceTest, ServedPayloadsMatchTheDetectorPath) {
           "seed=" + std::to_string(seed) + " target=" +
           std::string(violation::kernel::TargetName(target)) +
           " threads=" + std::to_string(threads);
+      // A fresh directory each time: the previous service's journal would
+      // otherwise replay its events into this one.
+      std::filesystem::remove_all(dir_);
+      ASSERT_OK(storage::SaveDatabase(dir_.string(), database));
       std::unique_ptr<DatabaseService> service = MakeService(threads);
       ASSERT_OK_AND_ASSIGN(storage::Database loaded,
                            storage::LoadDatabase(dir_.string()));

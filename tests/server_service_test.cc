@@ -50,22 +50,19 @@ class DatabaseServiceTest : public ::testing::Test {
 
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  /// A service whose saves hit the fault-injecting filesystem, with a
-  /// hand-cranked breaker clock and no in-save retry (so each save is one
-  /// breaker-visible outcome). The journal is off by default: the breaker
-  /// drills below are about *checkpoint* faults, and with a journal a
-  /// latched disk would fail the events themselves (by design — see the
-  /// Journal* tests) instead of leaving durability debt.
+  /// A service whose saves and journal hit the fault-injecting filesystem,
+  /// with a hand-cranked breaker clock and no in-save retry (so each save
+  /// is one breaker-visible outcome), checkpointing every
+  /// `checkpoint_every` events.
   std::unique_ptr<DatabaseService> MakeService(int failure_threshold = 2,
-                                               bool journal_enabled = false) {
+                                               int64_t checkpoint_every = 1) {
     DatabaseService::Options options;
-    options.checkpoint_every_events = 1;
+    options.checkpoint_every_events = checkpoint_every;
     options.num_threads = 1;
     options.save_retry.max_attempts = 1;
     options.breaker.failure_threshold = failure_threshold;
     options.breaker.open_duration = milliseconds(1000);
     options.breaker.clock = [this] { return now_; };
-    options.journal_enabled = journal_enabled;
     auto service =
         DatabaseService::Create(dir_.string(), faulty_.get(), options);
     EXPECT_OK(service.status());
@@ -79,12 +76,14 @@ class DatabaseServiceTest : public ::testing::Test {
     return service.Execute(request.value(), deadline);
   }
 
-  /// Latches the filesystem: every mutating operation fails with
-  /// kUnavailable until `Heal()`.
+  /// Latches the save path: every mutating operation on a `.staging-`
+  /// path fails with kUnavailable until `Heal()`. Journal I/O passes, so
+  /// events stay durable while checkpoints fail.
   void BreakDisk() {
     faulty_->SetPlan({.fail_at_op = 0,
                       .kind = storage::FaultKind::kFailOp,
-                      .transient_failures = 1 << 30});
+                      .transient_failures = 1 << 30,
+                      .path_filter = ".staging-"});
   }
   void Heal() { faulty_->SetPlan({.fail_at_op = -1}); }
 
@@ -183,7 +182,10 @@ TEST_F(DatabaseServiceTest, BreakerTripsDegradesToReadOnlyAndRecovers) {
   EXPECT_NE(rejected.status.message().find("read-only"), std::string::npos);
   EXPECT_NE(rejected.status.message().find("retry_after_ms="),
             std::string::npos);
+  // A refused save touches no file.
+  const int64_t ops_before = faulty_->ops_seen();
   EXPECT_TRUE(Run(*service, "save").status.IsUnavailable());
+  EXPECT_EQ(faulty_->ops_seen(), ops_before);
 
   // ...while reads keep serving from memory.
   EXPECT_EQ(Run(*service, "query pw").payload, "pw=0.75");
@@ -198,10 +200,15 @@ TEST_F(DatabaseServiceTest, BreakerTripsDegradesToReadOnlyAndRecovers) {
   ASSERT_OK(Run(*service, "event add 102 1").status);
   EXPECT_EQ(service->breaker().state(), CircuitBreaker::State::kClosed);
 
-  // Writes are fully restored and the checkpoint actually persisted.
+  // Writes are fully restored and the checkpoint actually persisted: the
+  // load needs no journal replay.
   ASSERT_OK(Run(*service, "save").status);
-  ASSERT_OK_AND_ASSIGN(storage::Database reloaded,
-                       storage::LoadDatabase(dir_.string()));
+  storage::RecoveryReport report;
+  ASSERT_OK_AND_ASSIGN(
+      storage::Database reloaded,
+      storage::LoadDatabase(dir_.string(), storage::GetRealFileSystem(),
+                            &report));
+  EXPECT_TRUE(report.clean()) << report.ToString();
   EXPECT_DOUBLE_EQ(reloaded.config.ThresholdFor(102), 1.0);
 }
 
@@ -213,11 +220,15 @@ TEST_F(DatabaseServiceTest, FinalCheckpointBypassesTheOpenBreaker) {
   ASSERT_EQ(service->breaker().state(), CircuitBreaker::State::kOpen);
 
   // The breaker would reject this save; shutdown tries anyway — and the
-  // disk has healed, so the last state lands.
+  // disk has healed, so the last state lands in a generation.
   Heal();
   ASSERT_OK(service->FinalCheckpoint());
-  ASSERT_OK_AND_ASSIGN(storage::Database reloaded,
-                       storage::LoadDatabase(dir_.string()));
+  storage::RecoveryReport report;
+  ASSERT_OK_AND_ASSIGN(
+      storage::Database reloaded,
+      storage::LoadDatabase(dir_.string(), storage::GetRealFileSystem(),
+                            &report));
+  EXPECT_TRUE(report.clean()) << report.ToString();
   EXPECT_DOUBLE_EQ(reloaded.config.ThresholdFor(200), 5.0);
 }
 
@@ -239,25 +250,83 @@ TEST_F(DatabaseServiceTest, CheckpointFailureNeverFailsTheEvent) {
   EXPECT_EQ(service->breaker().consecutive_failures(), 10);
 }
 
+// The cadence counts acknowledged events: exactly every third one commits
+// a generation, and a service restarted from it answers as the served one
+// did, with nothing to replay.
+TEST_F(DatabaseServiceTest, CheckpointCadenceFiresAtExactlyNEvents) {
+  auto answers = [this](DatabaseService& service) {
+    std::string out = Run(service, "analyze").payload;
+    for (const char* id : {"1", "2", "9", "10"}) {
+      out += " | " + Run(service, std::string("query provider ") + id).payload;
+    }
+    return out;
+  };
+  std::string served;
+  {
+    std::unique_ptr<DatabaseService> service =
+        MakeService(/*failure_threshold=*/2, /*checkpoint_every=*/3);
+    const std::string events[] = {
+        "event add 9 100",     "event pref 9 weight pr 3 3 3",
+        "event threshold 9 50", "event add 10 1",
+        "event threshold 1 7", "event unpref 2 weight pr"};
+    for (int i = 0; i < 6; ++i) {
+      ASSERT_OK(Run(*service, events[i]).status) << events[i];
+      const std::string monitor = Run(*service, "query monitor").payload;
+      EXPECT_NE(monitor.find(" checkpoints=" + std::to_string((i + 1) / 3) +
+                             " events_since_checkpoint=" +
+                             std::to_string((i + 1) % 3) +
+                             " last_checkpoint=ok"),
+                std::string::npos)
+          << events[i] << ": " << monitor;
+    }
+    served = answers(*service);
+    // Dropped without FinalCheckpoint: the sixth event's checkpoint
+    // already holds every event.
+  }
+  std::unique_ptr<DatabaseService> restarted = MakeService();
+  EXPECT_TRUE(restarted->recovery().clean())
+      << restarted->recovery().ToString();
+  EXPECT_EQ(answers(*restarted), served);
+}
+
+// A failed periodic checkpoint is recorded and the next event retries it,
+// without waiting for the cadence to come round again.
+TEST_F(DatabaseServiceTest, FailedCadenceCheckpointIsRecordedAndRetried) {
+  std::unique_ptr<DatabaseService> service = MakeService(
+      /*failure_threshold=*/100, /*checkpoint_every=*/2);
+  BreakDisk();
+  ASSERT_OK(Run(*service, "event add 60 2").status);
+  ASSERT_OK(Run(*service, "event threshold 60 3").status);  // due; fails
+  Response monitor = Run(*service, "query monitor");
+  EXPECT_NE(monitor.payload.find(" checkpoints=0 events_since_checkpoint=2"
+                                 " last_checkpoint=unavailable"),
+            std::string::npos)
+      << monitor.payload;
+
+  Heal();
+  ASSERT_OK(Run(*service, "event threshold 60 4").status);  // retried
+  monitor = Run(*service, "query monitor");
+  EXPECT_NE(monitor.payload.find(" checkpoints=1 events_since_checkpoint=0"
+                                 " last_checkpoint=ok"),
+            std::string::npos)
+      << monitor.payload;
+  storage::RecoveryReport report;
+  ASSERT_OK_AND_ASSIGN(
+      storage::Database reloaded,
+      storage::LoadDatabase(dir_.string(), storage::GetRealFileSystem(),
+                            &report));
+  EXPECT_TRUE(report.clean()) << report.ToString();
+  EXPECT_DOUBLE_EQ(reloaded.config.ThresholdFor(60), 4.0);
+}
+
 // --- Write-ahead journal drills -------------------------------------------
-// These run with the journal ON and periodic checkpoints OFF, so the
-// journal is the only thing standing between an acknowledged event and a
-// crash.
+// These run with periodic checkpoints off, so the journal is the only
+// thing standing between an acknowledged event and a crash.
 
 class JournaledServiceTest : public DatabaseServiceTest {
  protected:
   std::unique_ptr<DatabaseService> MakeJournaled(int failure_threshold = 2) {
-    DatabaseService::Options options;
-    options.checkpoint_every_events = 0;  // the journal carries durability
-    options.num_threads = 1;
-    options.save_retry.max_attempts = 1;
-    options.breaker.failure_threshold = failure_threshold;
-    options.breaker.open_duration = milliseconds(1000);
-    options.breaker.clock = [this] { return now_; };
-    auto service =
-        DatabaseService::Create(dir_.string(), faulty_.get(), options);
-    EXPECT_OK(service.status());
-    return std::move(service).value();
+    return MakeService(failure_threshold, /*checkpoint_every=*/0);
   }
 
   /// Faults the `op`-th journal I/O (open/append/sync/truncate on a
@@ -350,6 +419,25 @@ TEST_F(JournaledServiceTest, AppendFaultFailsTheEventAndRescueRestores) {
   EXPECT_FALSE(reloaded.config.preferences.Contains(10));
 }
 
+// The rescue commits a generation like any other checkpoint, so it is
+// counted as one and restarts the count of events since the last.
+TEST_F(JournaledServiceTest, RescueCountsAsACheckpoint) {
+  std::unique_ptr<DatabaseService> service = MakeJournaled();
+  ASSERT_OK(Run(*service, "event add 9 100").status);
+  FaultJournalOp(0, storage::FaultKind::kTornWrite);
+  EXPECT_TRUE(Run(*service, "event add 10 100").status.IsUnavailable());
+
+  Heal();
+  ASSERT_OK(Run(*service, "event add 11 100").status);  // rescue, then append
+  Response stats = Run(*service, "stats");
+  EXPECT_NE(stats.payload.find(" checkpoints=1 events_since_checkpoint=1"
+                               " last_checkpoint=ok"),
+            std::string::npos)
+      << stats.payload;
+  EXPECT_NE(stats.payload.find(" journal_records=1"), std::string::npos)
+      << stats.payload;
+}
+
 TEST_F(JournaledServiceTest, EnospcOpensTheBreakerAndTurnsReadOnly) {
   std::unique_ptr<DatabaseService> service = MakeJournaled(
       /*failure_threshold=*/1);
@@ -392,14 +480,6 @@ TEST_F(JournaledServiceTest, StatsExposeDurabilityPosture) {
   stats = Run(*service, "stats");
   EXPECT_NE(stats.payload.find(" events_since_checkpoint=1"),
             std::string::npos)
-      << stats.payload;
-}
-
-TEST_F(DatabaseServiceTest, JournalDisabledStatsSayNone) {
-  std::unique_ptr<DatabaseService> service = MakeService();
-  Response stats = Run(*service, "stats");
-  ASSERT_OK(stats.status);
-  EXPECT_NE(stats.payload.find(" journal=none"), std::string::npos)
       << stats.payload;
 }
 
@@ -467,7 +547,6 @@ TEST_F(DatabaseServiceTest, PeriodicDriftCheckRunsAtConfiguredCadence) {
   DatabaseService::Options options;
   options.checkpoint_every_events = 0;
   options.num_threads = 1;
-  options.journal_enabled = false;
   options.drift_check_every_events = 2;
   ASSERT_OK_AND_ASSIGN(
       std::unique_ptr<DatabaseService> service,

@@ -2,17 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <cstdlib>
-#include <filesystem>
-#include <string>
-
-#include "common/circuit_breaker.h"
 #include "common/macros.h"
 #include "common/rng.h"
-#include "privacy/policy_dsl.h"
-#include "storage/database_io.h"
-#include "storage/fs.h"
 #include "tests/test_util.h"
 
 namespace ppdb::violation {
@@ -239,179 +230,6 @@ TEST_P(LiveMonitorFuzzTest, EquivalentToBatchAfterRandomEvents) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LiveMonitorFuzzTest,
                          ::testing::Range<uint64_t>(0, 8));
-
-// --- periodic checkpointing through the durable storage API -------------
-
-class LiveMonitorCheckpointTest : public LiveMonitorTest {
- protected:
-  void SetUp() override {
-    LiveMonitorTest::SetUp();
-    dir_ = std::filesystem::temp_directory_path() /
-           ("ppdb_monitor_ckpt_" + std::to_string(::getpid()) + "_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    std::filesystem::remove_all(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
-  /// A hook that checkpoints the monitored config with the atomic save.
-  LivePopulationMonitor::CheckpointHook SaveHook(int64_t every,
-                                                 storage::FileSystem* fs) {
-    LivePopulationMonitor::CheckpointHook hook;
-    hook.every_events = every;
-    hook.save = [this, fs](const privacy::PrivacyConfig& config) {
-      storage::Database snapshot;
-      snapshot.config = config;
-      return storage::SaveDatabase(dir_.string(), snapshot, *fs);
-    };
-    return hook;
-  }
-
-  std::filesystem::path dir_;
-};
-
-TEST_F(LiveMonitorCheckpointTest, FiresAtCadenceAndPersistsConfig) {
-  ASSERT_OK_AND_ASSIGN(LivePopulationMonitor monitor,
-                       LivePopulationMonitor::Create(config_));
-  monitor.SetCheckpointHook(SaveHook(2, &storage::GetRealFileSystem()));
-
-  ASSERT_OK(monitor.AddProvider(50, 5.0));  // event 1: no checkpoint yet
-  EXPECT_EQ(monitor.checkpoints_taken(), 0);
-  EXPECT_EQ(monitor.events_since_checkpoint(), 1);
-  EXPECT_FALSE(std::filesystem::exists(dir_));
-
-  ASSERT_OK(monitor.SetThreshold(50, 9.0));  // event 2: checkpoint fires
-  EXPECT_EQ(monitor.checkpoints_taken(), 1);
-  EXPECT_EQ(monitor.events_since_checkpoint(), 0);
-  EXPECT_OK(monitor.last_checkpoint_status());
-
-  // The checkpoint is a loadable database holding the live config.
-  ASSERT_OK_AND_ASSIGN(storage::Database loaded,
-                       storage::LoadDatabase(dir_.string()));
-  EXPECT_EQ(privacy::SerializePrivacyConfig(loaded.config),
-            privacy::SerializePrivacyConfig(monitor.config()));
-  EXPECT_DOUBLE_EQ(loaded.config.ThresholdFor(50), 9.0);
-}
-
-TEST_F(LiveMonitorCheckpointTest, FailedCheckpointIsReportedAndRetried) {
-  ASSERT_OK_AND_ASSIGN(LivePopulationMonitor monitor,
-                       LivePopulationMonitor::Create(config_));
-  storage::FaultInjectingFileSystem faulty(&storage::GetRealFileSystem(),
-                                           Rng(3));
-  // Enough consecutive transient failures to defeat the save's bounded
-  // retry once, after which the disk "heals".
-  faulty.SetPlan({.fail_at_op = 0, .kind = storage::FaultKind::kFailOp,
-                  .transient_failures = 6});
-  monitor.SetCheckpointHook(SaveHook(1, &faulty));
-
-  // The event itself succeeds even though its checkpoint failed.
-  ASSERT_OK(monitor.AddProvider(60, 2.0));
-  EXPECT_TRUE(monitor.last_checkpoint_status().IsUnavailable())
-      << monitor.last_checkpoint_status();
-  EXPECT_EQ(monitor.checkpoints_taken(), 0);
-  EXPECT_EQ(monitor.events_since_checkpoint(), 1);
-
-  // The next event retries the checkpoint and succeeds.
-  ASSERT_OK(monitor.SetThreshold(60, 4.0));
-  EXPECT_OK(monitor.last_checkpoint_status());
-  EXPECT_EQ(monitor.checkpoints_taken(), 1);
-  EXPECT_EQ(monitor.events_since_checkpoint(), 0);
-  EXPECT_OK(storage::LoadDatabase(dir_.string()).status());
-}
-
-/// A save hook guarded by a circuit breaker, the way the serving layer
-/// wires checkpointing: Allow -> save -> Record, with rejections counted
-/// instead of hitting the (possibly failing) disk.
-LivePopulationMonitor::CheckpointHook GuardedHook(
-    LivePopulationMonitor::CheckpointHook inner, CircuitBreaker* breaker) {
-  LivePopulationMonitor::CheckpointHook hook = inner;
-  hook.save = [inner, breaker](const privacy::PrivacyConfig& config) {
-    Status admitted = breaker->Allow();
-    if (!admitted.ok()) return admitted;
-    Status saved = inner.save(config);
-    breaker->Record(saved);
-    return saved;
-  };
-  return hook;
-}
-
-TEST_F(LiveMonitorCheckpointTest, BreakerTripsAfterConsecutiveFailedSaves) {
-  ASSERT_OK_AND_ASSIGN(LivePopulationMonitor monitor,
-                       LivePopulationMonitor::Create(config_));
-  storage::FaultInjectingFileSystem faulty(&storage::GetRealFileSystem(),
-                                           Rng(11));
-  faulty.SetPlan({.fail_at_op = 0, .kind = storage::FaultKind::kFailOp,
-                  .transient_failures = 1 << 30});
-  CircuitBreaker::Options options;
-  options.failure_threshold = 3;
-  CircuitBreaker breaker(options);
-  monitor.SetCheckpointHook(GuardedHook(SaveHook(1, &faulty), &breaker));
-
-  // Three failing checkpoints trip the breaker; every event still lands.
-  for (int64_t i = 0; i < 3; ++i) {
-    ASSERT_OK(monitor.AddProvider(80 + i, 1.0)) << i;
-    EXPECT_TRUE(monitor.last_checkpoint_status().IsUnavailable()) << i;
-  }
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  EXPECT_EQ(breaker.trips(), 1);
-  EXPECT_EQ(monitor.checkpoints_taken(), 0);
-
-  // While open, checkpoint attempts are rejected without touching the
-  // disk — and the monitor records the rejection, not a crash.
-  int64_t ops_before = faulty.ops_seen();
-  ASSERT_OK(monitor.AddProvider(90, 1.0));
-  EXPECT_EQ(faulty.ops_seen(), ops_before);
-  EXPECT_TRUE(monitor.last_checkpoint_status().IsUnavailable());
-  EXPECT_NE(monitor.last_checkpoint_status().message().find("circuit"),
-            std::string::npos)
-      << monitor.last_checkpoint_status();
-  EXPECT_EQ(monitor.num_providers(), 8);  // 4 seeded + 4 added
-}
-
-TEST_F(LiveMonitorCheckpointTest, BreakerHalfOpenProbeRestoresCheckpoints) {
-  ASSERT_OK_AND_ASSIGN(LivePopulationMonitor monitor,
-                       LivePopulationMonitor::Create(config_));
-  storage::FaultInjectingFileSystem faulty(&storage::GetRealFileSystem(),
-                                           Rng(12));
-  faulty.SetPlan({.fail_at_op = 0, .kind = storage::FaultKind::kFailOp,
-                  .transient_failures = 1 << 30});
-
-  auto now = std::chrono::steady_clock::time_point();
-  CircuitBreaker::Options options;
-  options.failure_threshold = 1;
-  options.open_duration = std::chrono::milliseconds(100);
-  options.clock = [&now] { return now; };
-  CircuitBreaker breaker(options);
-  monitor.SetCheckpointHook(GuardedHook(SaveHook(1, &faulty), &breaker));
-
-  ASSERT_OK(monitor.AddProvider(91, 1.0));
-  ASSERT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-
-  // Disk heals; after the open window the next checkpoint is the probe,
-  // it succeeds, and checkpointing is fully restored.
-  faulty.SetPlan({.fail_at_op = -1});
-  now += std::chrono::milliseconds(250);
-  ASSERT_OK(monitor.SetThreshold(91, 6.0));
-  EXPECT_OK(monitor.last_checkpoint_status());
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-  EXPECT_EQ(monitor.checkpoints_taken(), 1);
-  ASSERT_OK_AND_ASSIGN(storage::Database loaded,
-                       storage::LoadDatabase(dir_.string()));
-  EXPECT_DOUBLE_EQ(loaded.config.ThresholdFor(91), 6.0);
-}
-
-TEST_F(LiveMonitorCheckpointTest, CheckpointNowAndMissingHook) {
-  ASSERT_OK_AND_ASSIGN(LivePopulationMonitor monitor,
-                       LivePopulationMonitor::Create(config_));
-  EXPECT_TRUE(monitor.CheckpointNow().IsFailedPrecondition());
-
-  monitor.SetCheckpointHook(SaveHook(1000, &storage::GetRealFileSystem()));
-  ASSERT_OK(monitor.AddProvider(70, 1.0));
-  EXPECT_EQ(monitor.checkpoints_taken(), 0);  // cadence not reached
-  ASSERT_OK(monitor.CheckpointNow());         // forced
-  EXPECT_EQ(monitor.checkpoints_taken(), 1);
-  EXPECT_EQ(monitor.events_since_checkpoint(), 0);
-  EXPECT_OK(storage::LoadDatabase(dir_.string()).status());
-}
 
 }  // namespace
 }  // namespace ppdb::violation

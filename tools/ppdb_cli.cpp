@@ -83,7 +83,7 @@ int Usage() {
                "                       [--listen <addr:port>] "
                "[--max-conns N] [--idle-timeout-ms D]\n"
                "                       [--journal-window-us U] "
-               "[--no-journal] [--drift-check-every E]\n"
+               "[--drift-check-every E]\n"
                "  ppdb_cli trace <dir>\n");
   return 2;
 }
@@ -350,11 +350,6 @@ int RunServe(const std::string& dir, int argc, char** argv) {
   bool listen = false;
   for (int i = 3; i < argc; ++i) {
     const std::string flag = argv[i];
-    if (flag == "--no-journal") {
-      // Checkpoint-granular durability, as before the journal existed.
-      service_options.journal_enabled = false;
-      continue;
-    }
     if (i + 1 >= argc) {
       std::fprintf(stderr, "serve flag '%s' expects a value\n", flag.c_str());
       return Usage();
