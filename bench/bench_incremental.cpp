@@ -9,18 +9,30 @@
 // EXPERIMENTS.md ("Delta path") reads the crossover out of this sweep;
 // the acceptance bar is delta ≥ 10× full at |HP| ≥ 64.
 //
+// A second section ("whatif") times the served `whatif` point at the
+// end-to-end benchmark's population shape: the view build, one point that
+// moves every policy tuple and one that moves a single attribute's tuples,
+// each through `WhatIfAnalyzer::RunScheduleFromView`. Unlike the sweep's
+// synthetic config, the sim population gives every provider explicit σ, so
+// the per-provider σ and preference resolution a point pays shows up.
+//
 // Usage: bench_incremental [output.json] [--smoke]
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/macros.h"
 #include "privacy/config.h"
+#include "sim/population.h"
 #include "violation/default_model.h"
 #include "violation/detector.h"
 #include "violation/incremental.h"
+#include "violation/what_if.h"
 
 #ifndef PPDB_BENCH_BUILD_TYPE
 #define PPDB_BENCH_BUILD_TYPE "unknown"
@@ -120,6 +132,92 @@ CellResult RunCell(int64_t n, int64_t hp, int delta_reps, int full_reps) {
   return result;
 }
 
+/// One timed stage of the what-if section: `reps` runs, in milliseconds.
+struct WhatIfRow {
+  std::string stage;
+  int64_t providers = 0;
+  int64_t policy_tuples = 0;
+  /// Cells the stage computes: N·|HP| for the build, N·Δ for a point.
+  int64_t cells = 0;
+  int reps = 0;
+  double median_ms = 0.0;
+  double min_ms = 0.0;
+  double max_ms = 0.0;
+};
+
+/// Times `reps` calls of `run` and summarizes them.
+template <typename Run>
+WhatIfRow TimeStage(std::string stage, int64_t providers,
+                    int64_t policy_tuples, int64_t cells, int reps, Run&& run) {
+  std::vector<double> ms;
+  for (int rep = 0; rep < reps; ++rep) {
+    const auto start = steady_clock::now();
+    run();
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     steady_clock::now() - start)
+                     .count());
+  }
+  std::sort(ms.begin(), ms.end());
+  return WhatIfRow{std::move(stage), providers, policy_tuples, cells, reps,
+                   ms[ms.size() / 2], ms.front(), ms.back()};
+}
+
+/// The what-if section over a sim population of `n` providers × 8
+/// attributes × 2 purposes under the end-to-end benchmark's policy
+/// (visibility and granularity at the bottom, retention a quarter up).
+std::vector<WhatIfRow> RunWhatIf(int64_t n, int reps) {
+  constexpr int kAttributes = 8;
+  sim::PopulationConfig population_config;
+  population_config.num_providers = n;
+  for (int a = 0; a < kAttributes; ++a) {
+    population_config.attributes.push_back(
+        {"attr" + std::to_string(a), 1.0 + 0.5 * a, 50.0 + 5.0 * a, 10.0});
+  }
+  population_config.purposes = {"purpose0", "purpose1"};
+  population_config.seed = 1;
+  Result<sim::Population> population =
+      sim::PopulationGenerator(population_config).Generate();
+  PPDB_CHECK_OK(population.status());
+  privacy::PrivacyConfig config = std::move(population->config);
+  Result<privacy::HousePolicy> policy = sim::MakeUniformPolicy(
+      population_config.attributes, population_config.purposes, 0.0, 0.0,
+      0.25, &config);
+  PPDB_CHECK_OK(policy.status());
+  config.policy = std::move(policy).value();
+  const int64_t hp = static_cast<int64_t>(config.policy.tuples().size());
+  const int64_t moved_cells = hp / kAttributes;
+
+  std::vector<WhatIfRow> rows;
+  std::optional<violation::ViolationView> view;
+  rows.push_back(TimeStage("view_build", n, hp, n * hp, reps, [&] {
+    view.reset();
+    Result<violation::ViolationView> built =
+        violation::ViolationView::Create(&config);
+    PPDB_CHECK_OK(built.status());
+    view.emplace(std::move(built).value());
+  }));
+
+  const violation::WhatIfAnalyzer analyzer(&config, {});
+  double total = 0.0;  // defeat dead-code elimination
+  auto point = [&](const std::vector<violation::ExpansionStep>& steps) {
+    Result<std::vector<violation::ExpansionPoint>> points =
+        analyzer.RunScheduleFromView(*view, steps);
+    PPDB_CHECK_OK(points.status());
+    total += points->back().total_violations;
+  };
+  const std::vector<violation::ExpansionStep> all_tuples =
+      violation::WhatIfAnalyzer::UniformSchedule(
+          privacy::Dimension::kVisibility, 1);
+  const std::vector<violation::ExpansionStep> one_attribute = {
+      {privacy::Dimension::kVisibility, 1, std::string("attr3")}};
+  rows.push_back(TimeStage("all_tuples_point", n, hp, n * hp, reps,
+                           [&] { point(all_tuples); }));
+  rows.push_back(TimeStage("single_attribute_point", n, hp, n * moved_cells,
+                           reps, [&] { point(one_attribute); }));
+  if (total < 0) std::fprintf(stderr, "unreachable\n");
+  return rows;
+}
+
 int Run(const std::string& output_path, bool smoke) {
   const int delta_reps = smoke ? 200 : 20000;
   const int full_reps = smoke ? 3 : 30;
@@ -145,6 +243,17 @@ int Run(const std::string& output_path, bool smoke) {
     }
   }
 
+  const std::vector<WhatIfRow> whatif =
+      RunWhatIf(smoke ? 2000 : 20000, smoke ? 1 : 9);
+  for (const WhatIfRow& r : whatif) {
+    std::fprintf(stderr,
+                 "whatif N=%lld |HP|=%lld %s: median %.2f ms (min %.2f, "
+                 "max %.2f, %d reps)\n",
+                 static_cast<long long>(r.providers),
+                 static_cast<long long>(r.policy_tuples), r.stage.c_str(),
+                 r.median_ms, r.min_ms, r.max_ms, r.reps);
+  }
+
   std::ofstream out(output_path);
   out << "{\n  \"benchmark\": \"incremental_view_delta\",\n"
       // The build type of the code under test; tools/run_bench.sh refuses
@@ -166,6 +275,21 @@ int Run(const std::string& output_path, bool smoke) {
         static_cast<long long>(r.policy_tuples),
         static_cast<long long>(r.delta_cells), r.delta_events_per_s,
         r.full_events_per_s, r.speedup, i + 1 < results.size() ? "," : "");
+    out << line;
+  }
+  out << "  ],\n  \"whatif\": [\n";
+  for (size_t i = 0; i < whatif.size(); ++i) {
+    const WhatIfRow& r = whatif[i];
+    char line[320];
+    std::snprintf(
+        line, sizeof(line),
+        "    {\"stage\": \"%s\", \"providers\": %lld, "
+        "\"policy_tuples\": %lld, \"cells\": %lld, \"reps\": %d, "
+        "\"median_ms\": %.3f, \"min_ms\": %.3f, \"max_ms\": %.3f}%s\n",
+        r.stage.c_str(), static_cast<long long>(r.providers),
+        static_cast<long long>(r.policy_tuples),
+        static_cast<long long>(r.cells), r.reps, r.median_ms, r.min_ms,
+        r.max_ms, i + 1 < whatif.size() ? "," : "");
     out << line;
   }
   out << "  ]\n}\n";

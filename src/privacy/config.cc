@@ -19,15 +19,13 @@ Status PrivacyConfig::Validate() const {
           std::to_string(pt.tuple.purpose));
     }
   }
-  for (ProviderId id : preferences.ProviderIds()) {
-    PPDB_ASSIGN_OR_RETURN(const ProviderPreferences* prefs,
-                          preferences.Find(id));
-    for (const PreferenceTuple& pt : prefs->tuples()) {
-      if (!registered(pt.tuple.purpose)) {
+  for (const auto& [id, prefs] : preferences.entries()) {
+    for (const ProviderPreferences::Row& row : prefs.rows()) {
+      if (!registered(row.tuple.purpose)) {
         return Status::InvalidArgument(
             "preference of provider " + std::to_string(id) +
             " mentions unregistered purpose id " +
-            std::to_string(pt.tuple.purpose));
+            std::to_string(row.tuple.purpose));
       }
     }
   }

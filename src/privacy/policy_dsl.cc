@@ -520,6 +520,65 @@ void AppendDimensionSensitivity(std::string& out,
   out += '\n';
 }
 
+/// Each σ id's position in name order: the serializer writes σ sorted by
+/// attribute name, as the format always has, whatever order the names
+/// were registered in.
+std::vector<int32_t> NameRanks(const AttributeRegistry& attributes) {
+  const std::vector<std::string>& names = attributes.names();
+  std::vector<AttributeId> by_name(names.size());
+  for (size_t i = 0; i < by_name.size(); ++i) {
+    by_name[i] = static_cast<AttributeId>(i);
+  }
+  std::sort(by_name.begin(), by_name.end(),
+            [&names](AttributeId a, AttributeId b) {
+              return names[static_cast<size_t>(a)] <
+                     names[static_cast<size_t>(b)];
+            });
+  std::vector<int32_t> rank(names.size());
+  for (size_t i = 0; i < by_name.size(); ++i) {
+    rank[static_cast<size_t>(by_name[i])] = static_cast<int32_t>(i);
+  }
+  return rank;
+}
+
+/// Writes every provider's σ defaults, or else its purpose overrides, by
+/// ascending provider, then attribute name, then purpose id.
+void AppendProviderSensitivities(std::string& out, const PrivacyConfig& config,
+                                 const std::vector<int32_t>& rank,
+                                 bool overrides) {
+  const SensitivityModel& model = config.sensitivities;
+  const std::vector<std::string>& names = model.attributes().names();
+  std::vector<const SensitivityModel::Row*> picked;
+  for (const auto& [provider, rows] : model.provider_rows()) {
+    picked.clear();
+    for (const SensitivityModel::Row& row : rows) {
+      if ((row.purpose != SensitivityModel::kAnyPurpose) == overrides) {
+        picked.push_back(&row);
+      }
+    }
+    std::sort(picked.begin(), picked.end(),
+              [&rank](const SensitivityModel::Row* a,
+                      const SensitivityModel::Row* b) {
+                return std::pair(rank[static_cast<size_t>(a->attribute)],
+                                 a->purpose) <
+                       std::pair(rank[static_cast<size_t>(b->attribute)],
+                                 b->purpose);
+              });
+    for (const SensitivityModel::Row* row : picked) {
+      out += "sensitivity ";
+      AppendInt(out, provider);
+      out += ' ';
+      out += names[static_cast<size_t>(row->attribute)];
+      if (overrides) {
+        out += " for ";
+        out += PurposeName(config.purposes, row->purpose);
+      }
+      out += ": ";
+      AppendDimensionSensitivity(out, row->sensitivity);
+    }
+  }
+}
+
 }  // namespace
 
 Result<PrivacyConfig> ParsePrivacyConfig(std::string_view text) {
@@ -528,23 +587,20 @@ Result<PrivacyConfig> ParsePrivacyConfig(std::string_view text) {
 }
 
 std::string SerializePrivacyConfig(const PrivacyConfig& config) {
-  // One pass over the providers finds their preferences and sizes the
-  // output; the reservation is generous, since pages never written are
-  // never resident.
-  std::vector<std::pair<ProviderId, const ProviderPreferences*>> providers;
-  providers.reserve(static_cast<size_t>(config.preferences.num_providers()));
+  // Size the output from the row counts; the reservation is generous,
+  // since pages never written are never resident.
   size_t num_prefs = 0;
-  for (ProviderId id : config.preferences.ProviderIds()) {
-    const ProviderPreferences* prefs = config.preferences.Find(id).value();
-    providers.emplace_back(id, prefs);
-    num_prefs += static_cast<size_t>(std::max<int64_t>(prefs->size(), 1));
+  for (const auto& [id, prefs] : config.preferences.entries()) {
+    num_prefs += static_cast<size_t>(std::max<int64_t>(prefs.size(), 1));
   }
   const SensitivityModel& s = config.sensitivities;
+  size_t num_sensitivities = 0;
+  for (const SensitivityModel::ProviderEntry& entry : s.provider_rows()) {
+    num_sensitivities += entry.rows.size();
+  }
   std::string out;
   out.reserve(4096 + 128 * (num_prefs + config.policy.tuples().size()) +
-              192 * (s.provider_defaults().size() +
-                     s.provider_overrides().size()) +
-              64 * config.thresholds.size());
+              192 * num_sensitivities + 64 * config.thresholds.size());
   out += "# ppdb privacy configuration\n";
   AppendScale(out, config.scales.visibility);
   AppendScale(out, config.scales.granularity);
@@ -575,8 +631,10 @@ std::string SerializePrivacyConfig(const PrivacyConfig& config) {
     out += '\n';
   }
 
-  for (const auto& [id, prefs] : providers) {
-    if (prefs->empty()) {
+  const std::vector<std::string>& pref_names =
+      config.preferences.attributes().names();
+  for (const auto& [id, prefs] : config.preferences.entries()) {
+    if (prefs.empty()) {
       // Keep preference-less providers in the population (Def. 2 counts
       // them; the implicit-zero rule applies to them in full).
       out += "provider ";
@@ -584,15 +642,15 @@ std::string SerializePrivacyConfig(const PrivacyConfig& config) {
       out += '\n';
       continue;
     }
-    for (const PreferenceTuple& pt : prefs->tuples()) {
+    for (const ProviderPreferences::Row& row : prefs.rows()) {
       out += "pref ";
       AppendInt(out, id);
       out += ' ';
-      out += pt.attribute;
+      out += pref_names[static_cast<size_t>(row.attribute)];
       out += " for ";
-      out += PurposeName(config.purposes, pt.tuple.purpose);
+      out += PurposeName(config.purposes, row.tuple.purpose);
       out += ": ";
-      AppendTupleBody(out, pt.tuple, config.scales);
+      AppendTupleBody(out, row.tuple, config.scales);
       out += '\n';
     }
   }
@@ -613,24 +671,9 @@ std::string SerializePrivacyConfig(const PrivacyConfig& config) {
     AppendNumber(out, value);
     out += '\n';
   }
-  for (const auto& [key, sens] : s.provider_defaults()) {
-    out += "sensitivity ";
-    AppendInt(out, key.first);
-    out += ' ';
-    out += key.second;
-    out += ": ";
-    AppendDimensionSensitivity(out, sens);
-  }
-  for (const auto& [key, sens] : s.provider_overrides()) {
-    out += "sensitivity ";
-    AppendInt(out, std::get<0>(key));
-    out += ' ';
-    out += std::get<1>(key);
-    out += " for ";
-    out += PurposeName(config.purposes, std::get<2>(key));
-    out += ": ";
-    AppendDimensionSensitivity(out, sens);
-  }
+  const std::vector<int32_t> rank = NameRanks(s.attributes());
+  AppendProviderSensitivities(out, config, rank, /*overrides=*/false);
+  AppendProviderSensitivities(out, config, rank, /*overrides=*/true);
 
   for (const auto& [attribute, widths] : config.numeric_generalizers) {
     out += "generalizer ";

@@ -3,11 +3,13 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/result.h"
+#include "privacy/attribute.h"
 #include "privacy/ordered_scale.h"
 #include "privacy/privacy_tuple.h"
 #include "privacy/purpose.h"
@@ -21,13 +23,26 @@ using ProviderId = int64_t;
 /// one privacy tuple per (attribute, purpose) the provider has an opinion
 /// about.
 ///
+/// The preferences are stored as id-keyed rows: each row holds the
+/// attribute's id in an `AttributeRegistry` and the tuple, whose purpose
+/// is the row's purpose. An entry of a `PreferenceStore` shares the
+/// store's registry; a free-standing object has one of its own. The
+/// name-taking methods intern or look up the name once; `Stated` and
+/// `rows` serve callers that resolved ids already.
+///
 /// Def. 1's implicit rule is exposed as `EffectivePreference`: when the
 /// provider has stated no preference for a purpose a policy mentions, the
 /// model substitutes the zero tuple <a, pr, 0, 0, 0> ("the individual does
 /// not prefer to reveal her information for purpose pr").
 class ProviderPreferences {
  public:
-  explicit ProviderPreferences(ProviderId provider) : provider_(provider) {}
+  /// One stated preference <i, a, p> (Eq. 5), with `a` interned.
+  struct Row {
+    AttributeId attribute = 0;
+    PrivacyTuple tuple;
+  };
+
+  explicit ProviderPreferences(ProviderId provider);
 
   ProviderId provider() const { return provider_; }
 
@@ -48,31 +63,58 @@ class ProviderPreferences {
   Result<PrivacyTuple> Find(std::string_view attribute,
                             PurposeId purpose) const;
 
+  /// The stated tuple for (attribute id, purpose), or nullptr: the
+  /// analysis' lookup, an integer scan of the rows with no name and no
+  /// status built.
+  const PrivacyTuple* Stated(AttributeId attribute, PurposeId purpose) const;
+
   /// The preference used in violation assessment for (attribute, purpose):
   /// the stated one, or the zero tuple when none was stated (Def. 1).
   PrivacyTuple EffectivePreference(std::string_view attribute,
                                    PurposeId purpose) const;
 
-  /// All stated preferences, in insertion order.
-  const std::vector<PreferenceTuple>& tuples() const { return tuples_; }
+  /// All stated preferences, in stated order (a `Set` that replaces keeps
+  /// its row's place).
+  const std::vector<Row>& rows() const { return rows_; }
 
-  int64_t size() const { return static_cast<int64_t>(tuples_.size()); }
-  bool empty() const { return tuples_.empty(); }
+  /// The same rows with attribute names resolved (a copy).
+  std::vector<PreferenceTuple> tuples() const;
+
+  /// The registry `rows()` ids refer to.
+  const AttributeRegistry& attributes() const { return *attributes_; }
+
+  int64_t size() const { return static_cast<int64_t>(rows_.size()); }
+  bool empty() const { return rows_.empty(); }
 
   /// Validates all tuples against `scales`.
   Status ValidateAgainst(const ScaleSet& scales) const;
 
  private:
+  friend class PreferenceStore;
+
+  ProviderPreferences(ProviderId provider,
+                      std::shared_ptr<AttributeRegistry> attributes);
+
   ProviderId provider_;
-  std::vector<PreferenceTuple> tuples_;
+  std::shared_ptr<AttributeRegistry> attributes_;
+  std::vector<Row> rows_;
 };
 
 /// The preferences of every provider known to the system, keyed by provider
 /// id. Ordered map: iteration order (and thus every census-style estimator)
 /// is deterministic.
+///
+/// The store owns the attribute registry its entries share. A copy gets a
+/// registry of its own, so a copied store (and a copied `PrivacyConfig`)
+/// answers the same after the original is mutated or destroyed.
 class PreferenceStore {
  public:
-  PreferenceStore() = default;
+  PreferenceStore();
+  PreferenceStore(const PreferenceStore& other);
+  PreferenceStore& operator=(const PreferenceStore& other);
+  /// Leaves `other` an empty, usable store.
+  PreferenceStore(PreferenceStore&& other) noexcept;
+  PreferenceStore& operator=(PreferenceStore&& other) noexcept;
 
   /// Returns the preferences object for `provider`, creating an empty one on
   /// first access.
@@ -93,10 +135,20 @@ class PreferenceStore {
   /// Provider ids in ascending order.
   std::vector<ProviderId> ProviderIds() const;
 
+  /// Every entry by ascending provider id, for walks beside an ascending
+  /// provider sequence.
+  const std::map<ProviderId, ProviderPreferences>& entries() const {
+    return prefs_;
+  }
+
+  /// The registry every entry's row ids refer to.
+  const AttributeRegistry& attributes() const { return *attributes_; }
+
   /// Validates every provider's tuples against `scales`.
   Status ValidateAgainst(const ScaleSet& scales) const;
 
  private:
+  std::shared_ptr<AttributeRegistry> attributes_;
   std::map<ProviderId, ProviderPreferences> prefs_;
 };
 

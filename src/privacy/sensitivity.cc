@@ -1,7 +1,7 @@
 #include "privacy/sensitivity.h"
 
-#include <tuple>
-#include <utility>
+#include <algorithm>
+#include <optional>
 
 #include "common/macros.h"
 
@@ -9,16 +9,9 @@ namespace ppdb::privacy {
 
 namespace {
 
-/// `map[key] = value`, appending with an end hint when `key` sorts after
-/// every entry: the DSL serializer writes σ in key order, so a load
-/// inserts each entry in constant time instead of walking the tree.
-template <typename Map, typename Key, typename Value>
-void AssignHintedLast(Map& map, Key&& key, const Value& value) {
-  if (map.empty() || map.key_comp()(map.rbegin()->first, key)) {
-    map.emplace_hint(map.end(), std::forward<Key>(key), value);
-    return;
-  }
-  map.insert_or_assign(std::forward<Key>(key), value);
+bool ByProvider(const SensitivityModel::ProviderEntry& entry,
+                ProviderId provider) {
+  return entry.provider < provider;
 }
 
 }  // namespace
@@ -67,21 +60,39 @@ Status SensitivityModel::SetAttributeSensitivityForPurpose(
 Status SensitivityModel::SetProviderSensitivity(
     ProviderId provider, std::string_view attribute,
     const DimensionSensitivity& sensitivity) {
-  PPDB_RETURN_NOT_OK(sensitivity.Validate());
-  AssignHintedLast(provider_default_,
-                   std::pair<ProviderId, std::string>(provider, attribute),
-                   sensitivity);
-  return Status::OK();
+  return SetRow(provider, attribute, kAnyPurpose, sensitivity);
 }
 
 Status SensitivityModel::SetProviderSensitivityForPurpose(
     ProviderId provider, std::string_view attribute, PurposeId purpose,
     const DimensionSensitivity& sensitivity) {
+  return SetRow(provider, attribute, purpose, sensitivity);
+}
+
+Status SensitivityModel::SetRow(ProviderId provider,
+                                std::string_view attribute, PurposeId purpose,
+                                const DimensionSensitivity& sensitivity) {
   PPDB_RETURN_NOT_OK(sensitivity.Validate());
-  AssignHintedLast(provider_by_purpose_,
-                   std::tuple<ProviderId, std::string, PurposeId>(
-                       provider, attribute, purpose),
-                   sensitivity);
+  const AttributeId id = attributes_.Register(attribute);
+  // A DSL load sets σ grouped by ascending provider, so a new provider is
+  // almost always an append.
+  auto it = provider_rows_.end();
+  if (provider_rows_.empty() || provider_rows_.back().provider < provider) {
+    it = provider_rows_.insert(it, ProviderEntry{provider, {}});
+  } else {
+    it = std::lower_bound(provider_rows_.begin(), provider_rows_.end(),
+                          provider, ByProvider);
+    if (it->provider != provider) {
+      it = provider_rows_.insert(it, ProviderEntry{provider, {}});
+    }
+  }
+  for (Row& row : it->rows) {
+    if (row.attribute == id && row.purpose == purpose) {
+      row.sensitivity = sensitivity;
+      return Status::OK();
+    }
+  }
+  it->rows.push_back(Row{id, purpose, sensitivity});
   return Status::OK();
 }
 
@@ -95,27 +106,27 @@ double SensitivityModel::AttributeSensitivity(std::string_view attribute,
   return 1.0;
 }
 
-bool SensitivityModel::HasEntriesFor(ProviderId provider) const {
-  auto by_default = provider_default_.lower_bound({provider, std::string()});
-  if (by_default != provider_default_.end() &&
-      by_default->first.first == provider) {
-    return true;
-  }
-  auto by_purpose = provider_by_purpose_.lower_bound(
-      {provider, std::string(), PurposeId{}});
-  return by_purpose != provider_by_purpose_.end() &&
-         std::get<0>(by_purpose->first) == provider;
+const SensitivityModel::Rows* SensitivityModel::RowsFor(
+    ProviderId provider) const {
+  auto it = std::lower_bound(provider_rows_.begin(), provider_rows_.end(),
+                             provider, ByProvider);
+  return it == provider_rows_.end() || it->provider != provider ? nullptr
+                                                                : &it->rows;
 }
 
 DimensionSensitivity SensitivityModel::ProviderSensitivity(
     ProviderId provider, std::string_view attribute,
     PurposeId purpose) const {
-  auto by_purpose = provider_by_purpose_.find(
-      {provider, std::string(attribute), purpose});
-  if (by_purpose != provider_by_purpose_.end()) return by_purpose->second;
-  auto it = provider_default_.find({provider, std::string(attribute)});
-  if (it != provider_default_.end()) return it->second;
-  return DimensionSensitivity{};
+  const std::optional<AttributeId> id = attributes_.Lookup(attribute);
+  const Rows* rows = RowsFor(provider);
+  if (!id.has_value() || rows == nullptr) return DimensionSensitivity{};
+  const Row* fallback = nullptr;
+  for (const Row& row : *rows) {
+    if (row.attribute != *id) continue;
+    if (row.purpose == purpose) return row.sensitivity;
+    if (row.purpose == kAnyPurpose) fallback = &row;
+  }
+  return fallback != nullptr ? fallback->sensitivity : DimensionSensitivity{};
 }
 
 }  // namespace ppdb::privacy

@@ -2,13 +2,13 @@
 #define PPDB_PRIVACY_SENSITIVITY_H_
 
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
-#include <tuple>
 #include <utility>
+#include <vector>
 
 #include "common/result.h"
+#include "privacy/attribute.h"
 #include "privacy/dimension.h"
 #include "privacy/provider_prefs.h"
 #include "privacy/purpose.h"
@@ -50,8 +50,31 @@ struct DimensionSensitivity {
 /// each purpose in a private database"); the model supports that via
 /// purpose-specific overrides layered over purpose-independent defaults —
 /// lookups try (purpose-specific) then (default) then the constant 1.
+///
+/// σ is stored provider-major: one entry per provider with explicit σ, in
+/// ascending provider order, each a short vector of id-keyed rows, the
+/// attribute interned in the model's own `AttributeRegistry`. Σ is per
+/// attribute, not per provider, and stays keyed by name.
 class SensitivityModel {
  public:
+  /// The purpose of a provider's purpose-independent σ row.
+  static constexpr PurposeId kAnyPurpose = -1;
+
+  /// One explicit σ_i^a: the default (`purpose == kAnyPurpose`) or the
+  /// override for one purpose.
+  struct Row {
+    AttributeId attribute = 0;
+    PurposeId purpose = kAnyPurpose;
+    DimensionSensitivity sensitivity;
+  };
+  /// One provider's explicit rows, at most one per (attribute, purpose).
+  using Rows = std::vector<Row>;
+  /// A provider with explicit σ, and its rows.
+  struct ProviderEntry {
+    ProviderId provider = 0;
+    Rows rows;
+  };
+
   SensitivityModel() = default;
 
   /// Sets Σ^a, the purpose-independent sensitivity of attribute `a`.
@@ -83,16 +106,18 @@ class SensitivityModel {
                                            std::string_view attribute,
                                            PurposeId purpose) const;
 
-  /// True iff the provider has at least one explicit σ entry (default or
-  /// purpose override, any attribute). When false, every
-  /// `ProviderSensitivity` lookup for the provider returns all-ones, so
-  /// batched analyses can share one preset ones column instead of doing
-  /// per-(provider, tuple) map lookups. Two O(log n) probes.
-  bool HasEntriesFor(ProviderId provider) const;
+  /// The provider's explicit rows, or nullptr when it has none — then every
+  /// lookup for it is all-ones, and batched analyses share one preset ones
+  /// column.
+  const Rows* RowsFor(ProviderId provider) const;
+
+  /// The registry the rows' attribute ids refer to.
+  const AttributeRegistry& attributes() const { return attributes_; }
 
   // Read-only views of the explicitly-set entries, for serialization and
-  // inspection. Keys are (attribute), (attribute, purpose),
-  // (provider, attribute) and (provider, attribute, purpose) respectively.
+  // inspection. Σ is keyed by (attribute) and (attribute, purpose); σ is
+  // one entry per provider, ascending, each provider's rows in the order
+  // they were first set.
   const std::map<std::string, double, std::less<>>& attribute_defaults()
       const {
     return attribute_default_;
@@ -101,26 +126,23 @@ class SensitivityModel {
   attribute_overrides() const {
     return attribute_by_purpose_;
   }
-  const std::map<std::pair<ProviderId, std::string>, DimensionSensitivity>&
-  provider_defaults() const {
-    return provider_default_;
-  }
-  const std::map<std::tuple<ProviderId, std::string, PurposeId>,
-                 DimensionSensitivity>&
-  provider_overrides() const {
-    return provider_by_purpose_;
+  const std::vector<ProviderEntry>& provider_rows() const {
+    return provider_rows_;
   }
 
  private:
+  /// Upserts the σ row of (provider, attribute, purpose).
+  Status SetRow(ProviderId provider, std::string_view attribute,
+                PurposeId purpose, const DimensionSensitivity& sensitivity);
+
   // Keys: (attribute) and (attribute, purpose). std::map keeps behaviour
   // deterministic under iteration in debugging helpers.
   std::map<std::string, double, std::less<>> attribute_default_;
   std::map<std::pair<std::string, PurposeId>, double> attribute_by_purpose_;
-  std::map<std::pair<ProviderId, std::string>, DimensionSensitivity>
-      provider_default_;
-  std::map<std::tuple<ProviderId, std::string, PurposeId>,
-           DimensionSensitivity>
-      provider_by_purpose_;
+  AttributeRegistry attributes_;
+  // Sorted by provider. σ is set at load (ascending, so each new provider
+  // is an append) and by direct calls, never by population events.
+  std::vector<ProviderEntry> provider_rows_;
 };
 
 }  // namespace ppdb::privacy

@@ -60,10 +60,9 @@ struct SensitivityColumns {
     retention.assign(n, 1.0);
   }
 
-  /// Resolves σ_i^a for `provider` against each policy tuple (override,
-  /// then default, then ones — the SensitivityModel lookup rule).
-  void FillFor(const SensitivityModel& model, ProviderId provider,
-               const std::vector<PolicyTuple>& tuples);
+  /// One provider's σ columns from its σ_i^a per policy tuple, already
+  /// resolved (override, then default, then ones) by the caller.
+  void FillFor(const std::vector<const DimensionSensitivity*>& per_tuple);
 };
 
 /// The policy side of the severity kernel, built once per `Analyze`: level

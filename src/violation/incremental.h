@@ -275,6 +275,11 @@ class ViolationView {
 
   /// Position of `provider` in the ascending provider order, or -1.
   int64_t PositionOf(ProviderId provider) const;
+  /// The lowest provider id, where a walk of the stores beside the
+  /// population starts (0 when the population is empty).
+  ProviderId FirstProvider() const {
+    return providers_.empty() ? 0 : providers_.front();
+  }
   /// Same, or kNotFound for a provider outside the population.
   Result<int64_t> Locate(ProviderId provider) const;
 
@@ -284,6 +289,11 @@ class ViolationView {
                                           privacy::PurposeId purpose) const;
   /// Cells of one attribute (the data-scoping mask's blast radius).
   std::vector<int32_t> CellsForAttribute(std::string_view attribute) const;
+
+  /// Re-resolves the cached policy's store ids when a store registered an
+  /// attribute since they were resolved — an event may state, for the
+  /// first time, an attribute the policy names. O(1) when nothing new.
+  void SyncStoreIds();
 
   /// True iff the provider belongs to the analyzed population right now.
   bool ShouldExist(ProviderId provider) const;
@@ -302,24 +312,29 @@ class ViolationView {
   /// Recomputes exactly `cells` of `provider`'s row against (`policy`,
   /// `columns`) — gathered lanes through the shared kernel, bitwise what a
   /// full row build computes for those cells (the kernel is lane-pure).
-  /// Writes conf and the exceeding-dimension count per lane; mutates only
-  /// the caller's scratch, so const what-if queries can run it with local
-  /// buffers under a reader lock.
-  void ComputeCells(ProviderId provider, const internal::PreparedPolicy& policy,
+  /// `rows` is the provider's store rows. Writes conf and the
+  /// exceeding-dimension count per lane; mutates only the caller's
+  /// scratch, so const what-if queries can run it with local buffers under
+  /// a reader lock.
+  void ComputeCells(ProviderId provider, const internal::ProviderRows& rows,
+                    const internal::PreparedPolicy& policy,
                     const privacy::PolicyColumns& columns,
                     const std::vector<int32_t>& cells,
                     internal::AnalysisScratch& scratch, GatherScratch& gather,
                     double* conf_out, uint8_t* exceed_out) const;
 
   /// Recomputes the whole row at `pos` (all cells through the kernel) and
-  /// its per-provider summaries; patches the integer counters. Does not
-  /// touch the block sums.
-  void ComputeFullRow(int64_t pos);
+  /// its per-provider summaries against v_i = `threshold`; patches the
+  /// integer counters. Does not touch the block sums.
+  void ComputeFullRow(int64_t pos, const internal::ProviderRows& rows,
+                      double threshold);
 
   /// Recomputes exactly `cells` of the row at `pos` (gathered kernel call)
-  /// and re-derives the row summaries; patches the integer counters. Does
-  /// not touch the block sums.
-  void RecomputeCellsLocal(int64_t pos, const std::vector<int32_t>& cells);
+  /// and re-derives the row summaries against v_i = `threshold`; patches
+  /// the integer counters. Does not touch the block sums.
+  void RecomputeCellsLocal(int64_t pos, const internal::ProviderRows& rows,
+                           double threshold,
+                           const std::vector<int32_t>& cells);
 
   /// Flat tuple-order resum of row `pos` with `cells` → (conf, exceed)
   /// substituted — the severity/violated a full recompute would produce
@@ -329,9 +344,9 @@ class ViolationView {
                          double* severity_out, bool* violated_out) const;
 
   /// Re-derives severity (flat, tuple order), the incident count and the
-  /// default bit of row `pos` from its cells; patches the integer
-  /// counters.
-  void RefreshRowSummaries(int64_t pos);
+  /// default bit (against v_i = `threshold`) of row `pos` from its cells;
+  /// patches the integer counters.
+  void RefreshRowSummaries(int64_t pos, double threshold);
 
   /// Recomputes the block partial containing `pos` and the root, in the
   /// canonical shape.

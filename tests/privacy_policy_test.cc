@@ -270,9 +270,14 @@ TEST(SensitivityModelTest, IterationViewsExposeExplicitEntries) {
   ASSERT_OK(model.SetProviderSensitivity(1, "weight",
                                          DimensionSensitivity{}));
   EXPECT_EQ(model.attribute_defaults().size(), 1u);
-  EXPECT_EQ(model.provider_defaults().size(), 1u);
   EXPECT_TRUE(model.attribute_overrides().empty());
-  EXPECT_TRUE(model.provider_overrides().empty());
+  // One provider with one σ row: the default, no purpose override.
+  ASSERT_EQ(model.provider_rows().size(), 1u);
+  EXPECT_EQ(model.provider_rows()[0].provider, 1);
+  const SensitivityModel::Rows& rows = model.provider_rows()[0].rows;
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].purpose, SensitivityModel::kAnyPurpose);
+  EXPECT_EQ(model.attributes().NameOf(rows[0].attribute), "weight");
 }
 
 }  // namespace
