@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -24,6 +25,25 @@ namespace ppdb::server {
 namespace {
 
 using violation::LivePopulationMonitor;
+
+/// `text` as one space-free token of a `key=value` line: '%', '=' and
+/// every byte outside printable ASCII or a space are percent-encoded
+/// (a space reads %20).
+std::string EscapeToken(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  for (const char c : text) {
+    const unsigned char byte = static_cast<unsigned char>(c);
+    if (byte > ' ' && byte < 0x7f && c != '%' && c != '=') {
+      out += c;
+    } else {
+      char escaped[4];
+      std::snprintf(escaped, sizeof(escaped), "%%%02X", byte);
+      out += escaped;
+    }
+  }
+  return out;
+}
 
 std::string Num(double v) {
   char buf[64];
@@ -222,6 +242,20 @@ Status DatabaseService::Checkpoint(bool bypass_breaker) {
                              database_.ledger, database_.log},
         *fs_, save_options, &committed);
     breaker_.Record(status);
+  }
+  // Log the state changes only: the first failure of a run, with its
+  // cause, and the recovery. The attempts in between show in `stats`.
+  if (!status.ok()) {
+    if (last_checkpoint_status_.ok()) {
+      PPDB_LOG(kWarning) << "checkpoint failed: " << status.ToString();
+    }
+    last_checkpoint_failure_ = status;
+    last_checkpoint_failure_unix_ms_ =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::system_clock::now().time_since_epoch())
+            .count();
+  } else if (!last_checkpoint_status_.ok()) {
+    PPDB_LOG(kInfo) << "checkpoint recovered: committed " << committed;
   }
   last_checkpoint_status_ = status;
   if (!status.ok()) return status;
@@ -658,7 +692,14 @@ Response DatabaseService::Stats() {
       " last_checkpoint_generation=" +
       (last_checkpoint_generation_.empty() ? "none"
                                            : last_checkpoint_generation_) +
-      journal);
+      journal +
+      // Last: the most recent failed checkpoint's cause, one token.
+      " last_checkpoint_failure=" +
+      (last_checkpoint_failure_.ok()
+           ? std::string("none")
+           : EscapeToken(last_checkpoint_failure_.ToString())) +
+      " last_checkpoint_failure_unix_ms=" +
+      std::to_string(last_checkpoint_failure_unix_ms_));
 }
 
 }  // namespace ppdb::server

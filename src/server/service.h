@@ -176,6 +176,10 @@ class DatabaseService {
   int64_t events_since_checkpoint_ PPDB_GUARDED_BY(mu_) = 0;
   /// Outcome of the most recent checkpoint attempt (OK before the first).
   Status last_checkpoint_status_ PPDB_GUARDED_BY(mu_);
+  /// The most recent failed attempt, kept after later successes: its
+  /// status (OK while none has failed) and wall-clock time in Unix ms.
+  Status last_checkpoint_failure_ PPDB_GUARDED_BY(mu_);
+  int64_t last_checkpoint_failure_unix_ms_ PPDB_GUARDED_BY(mu_) = 0;
   /// Successful mutating events since the last periodic drift check
   /// (only advanced when Options::drift_check_every_events > 0).
   int64_t events_since_drift_check_ PPDB_GUARDED_BY(mu_) = 0;

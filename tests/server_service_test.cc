@@ -9,6 +9,7 @@
 #include <string>
 
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "privacy/policy_dsl.h"
 #include "server/request.h"
 #include "storage/database_io.h"
@@ -294,6 +295,13 @@ TEST_F(DatabaseServiceTest, CheckpointCadenceFiresAtExactlyNEvents) {
 TEST_F(DatabaseServiceTest, FailedCadenceCheckpointIsRecordedAndRetried) {
   std::unique_ptr<DatabaseService> service = MakeService(
       /*failure_threshold=*/100, /*checkpoint_every=*/2);
+  // `stats` names no failure before the first one.
+  Response stats = Run(*service, "stats");
+  EXPECT_NE(stats.payload.find(" last_checkpoint_failure=none"
+                               " last_checkpoint_failure_unix_ms=0"),
+            std::string::npos)
+      << stats.payload;
+
   BreakDisk();
   ASSERT_OK(Run(*service, "event add 60 2").status);
   ASSERT_OK(Run(*service, "event threshold 60 3").status);  // due; fails
@@ -302,6 +310,21 @@ TEST_F(DatabaseServiceTest, FailedCadenceCheckpointIsRecordedAndRetried) {
                                  " last_checkpoint=unavailable"),
             std::string::npos)
       << monitor.payload;
+  // The failure's cause reaches `stats` as the last two tokens, after
+  // every older field, so the line still splits into key=value tokens.
+  stats = Run(*service, "stats");
+  const size_t failure = stats.payload.find(" last_checkpoint_failure=");
+  ASSERT_NE(failure, std::string::npos) << stats.payload;
+  EXPECT_GT(failure, stats.payload.find(" journal_records="));
+  const std::string cause = stats.payload.substr(failure + 1);
+  EXPECT_EQ(cause.find(' '), cause.find(" last_checkpoint_failure_unix_ms="))
+      << cause;
+  EXPECT_EQ(cause.find("last_checkpoint_failure=unavailable:"), 0u) << cause;
+  EXPECT_EQ(cause.find("last_checkpoint_failure=none"), std::string::npos);
+  EXPECT_EQ(cause.find("unix_ms=0"), std::string::npos) << cause;
+  for (std::string_view token : Split(stats.payload, ' ')) {
+    EXPECT_NE(token.find('='), std::string::npos) << token;
+  }
 
   Heal();
   ASSERT_OK(Run(*service, "event threshold 60 4").status);  // retried
@@ -310,6 +333,11 @@ TEST_F(DatabaseServiceTest, FailedCadenceCheckpointIsRecordedAndRetried) {
                                  " last_checkpoint=ok"),
             std::string::npos)
       << monitor.payload;
+  // The last failure stays on record after the recovery.
+  stats = Run(*service, "stats");
+  EXPECT_NE(stats.payload.find(" last_checkpoint_failure=unavailable:"),
+            std::string::npos)
+      << stats.payload;
   storage::RecoveryReport report;
   ASSERT_OK_AND_ASSIGN(
       storage::Database reloaded,
@@ -336,6 +364,36 @@ class JournaledServiceTest : public DatabaseServiceTest {
         {.fail_at_op = op, .kind = kind, .path_filter = "journal-"});
   }
 };
+
+TEST_F(JournaledServiceTest, ReplayRegistersANeverSeenAttribute) {
+  std::string served;
+  {
+    std::unique_ptr<DatabaseService> service = MakeJournaled();
+    ASSERT_OK(Run(*service, "event add 9 100").status);
+    // `height` is named by nothing at load: the event is its first use.
+    ASSERT_OK(Run(*service, "event pref 9 height pr 3 3 3").status);
+    ASSERT_OK(Run(*service, "event pref 9 weight pr 1 1 1").status);
+    ASSERT_OK(Run(*service, "event pref 1 height pr 0 0 0").status);
+    served = Run(*service, "query provider 9").payload;
+    // Service dropped without FinalCheckpoint — a kill -9.
+  }
+  storage::RecoveryReport report;
+  ASSERT_OK_AND_ASSIGN(
+      storage::Database reloaded,
+      storage::LoadDatabase(dir_.string(), storage::GetRealFileSystem(),
+                            &report));
+  EXPECT_EQ(report.journal_replayed, 4) << report.ToString();
+  ASSERT_OK_AND_ASSIGN(const privacy::ProviderPreferences* nine,
+                       reloaded.config.preferences.Find(9));
+  EXPECT_EQ(nine->Find("height", 0)->visibility, 3);
+  EXPECT_EQ(nine->Find("weight", 0)->visibility, 1);
+  EXPECT_TRUE(reloaded.config.preferences.attributes().Lookup("height"));
+
+  std::unique_ptr<DatabaseService> restarted = MakeJournaled();
+  EXPECT_EQ(Run(*restarted, "query provider 9").payload, served);
+  const Response drift = Run(*restarted, "driftcheck");
+  EXPECT_EQ(drift.payload.rfind("clean=1 ", 0), 0u) << drift.payload;
+}
 
 TEST_F(JournaledServiceTest, AcknowledgedEventsSurviveCrashWithoutCheckpoint) {
   {

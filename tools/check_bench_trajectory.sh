@@ -13,7 +13,9 @@
 #     hand-rolled records, under `context` in google-benchmark dumps),
 #   * carries its summary payload: a non-empty `sweep` array with a
 #     consistent per-row schema (hand-rolled), or a non-empty `benchmarks`
-#     array with name/iterations/real_time/cpu_time (google-benchmark).
+#     array with name/iterations/real_time/cpu_time (google-benchmark);
+#   * has a consistent per-row schema in every further top-level array of
+#     a hand-rolled record (such as bench_incremental's `whatif` section).
 #
 # It also validates BENCHMARK.json, the declaration of the end-to-end
 # benchmark (e2ebench/): the file parses; every workload has a `name` and
@@ -80,13 +82,24 @@ def check(path):
     sweep = data.get("sweep")
     if not isinstance(sweep, list) or not sweep:
         return "'sweep' is missing or empty"
+    for key, rows in data.items():
+        if key == "sweep" or isinstance(rows, list):
+            problem = check_rows(key, rows)
+            if problem is not None:
+                return problem
+    return None
+
+def check_rows(key, rows):
+    """A non-empty array of non-empty objects sharing one set of keys."""
+    if not rows:
+        return f"'{key}' is empty"
     schemas = set()
-    for i, row in enumerate(sweep):
+    for i, row in enumerate(rows):
         if not isinstance(row, dict) or not row:
-            return f"sweep[{i}] is not a non-empty object"
+            return f"{key}[{i}] is not a non-empty object"
         schemas.add(tuple(sorted(row.keys())))
     if len(schemas) != 1:
-        return ("sweep rows disagree on their schema: " +
+        return (f"{key} rows disagree on their schema: " +
                 " vs ".join(str(list(s)) for s in sorted(schemas)))
     return None
 
