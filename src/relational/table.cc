@@ -100,10 +100,16 @@ Result<Value> Table::GetCell(ProviderId provider,
 Result<bool> Table::ProviderSuppliesAttribute(
     ProviderId provider, std::string_view attribute_name) const {
   PPDB_ASSIGN_OR_RETURN(int j, schema_.IndexOf(attribute_name));
+  return ProviderSuppliesColumn(provider, j);
+}
+
+bool Table::ProviderSuppliesColumn(ProviderId provider, int column) const {
   auto it = provider_index_.find(provider);
   if (it == provider_index_.end()) return false;
   for (size_t index : it->second) {
-    if (!rows_[index].values[static_cast<size_t>(j)].is_null()) return true;
+    if (!rows_[index].values[static_cast<size_t>(column)].is_null()) {
+      return true;
+    }
   }
   return false;
 }

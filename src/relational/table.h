@@ -95,6 +95,10 @@ class Table {
   Result<bool> ProviderSuppliesAttribute(
       ProviderId provider, std::string_view attribute_name) const;
 
+  /// The same for the attribute at schema position `column`, which must be
+  /// in range: for callers that resolved the name once.
+  bool ProviderSuppliesColumn(ProviderId provider, int column) const;
+
   /// Removes all of the provider's rows; used when a provider defaults and
   /// withdraws their data. Errors with kNotFound when absent.
   Status EraseProvider(ProviderId provider);
